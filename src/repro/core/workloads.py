@@ -12,11 +12,11 @@ actually compare kernels by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SERVER_PORT, payload_pattern
-from repro.core.testbed import build_atm_pair, build_ethernet_pair
+from repro.core.testbed import Testbed, build_atm_pair, build_ethernet_pair
 from repro.kern.config import KernelConfig
 
 __all__ = ["RPCMix", "MixResult", "LRPC_MIX", "NFS_MIX", "BULKY_MIX",
@@ -148,7 +148,9 @@ class ConnScaleResult:
     ``events_executed`` is the engine's dispatch count for the whole
     run — the numerator of the bench harness's events/sec metric (the
     harness supplies the wall-clock denominator; nothing here reads
-    wall time).
+    wall time).  ``rpc_latencies_ns`` holds one simulated latency per
+    RPC (request send to full reply received), in completion order;
+    ``testbed`` is the host pair the run used, for post-run audits.
     """
 
     connections: int
@@ -159,6 +161,8 @@ class ConnScaleResult:
     segments_received: int
     retransmits: int
     wheel_ticks: int
+    rpc_latencies_ns: List[int] = field(default_factory=list, repr=False)
+    testbed: Optional[Testbed] = field(default=None, repr=False)
 
 
 def connection_scale_config(scaled: bool = True) -> KernelConfig:
@@ -215,6 +219,7 @@ def run_connection_scale(connections: int, rounds: int = 2,
     rep_payload = payload_pattern(reply, seed=1)
     connected = [0]
     finished = [0]
+    latencies: List[int] = []
     ramp_done = tb.sim.event(name="conn-scale-ramp")
     all_done = tb.sim.event(name="conn-scale-done")
     connect_sem = Semaphore(tb.sim, value=window, name="scale-connect")
@@ -245,9 +250,11 @@ def run_connection_scale(connections: int, rounds: int = 2,
         yield ramp_done
         yield rpc_sem.acquire()
         for _ in range(rounds):
+            sent_at = tb.sim.now
             yield from sock.send(req_payload)
             data = yield from sock.recv(reply, exact=True)
             assert len(data) == reply
+            latencies.append(tb.sim.now - sent_at)
         if close:
             yield from sock.close()
         rpc_sem.release()
@@ -276,4 +283,6 @@ def run_connection_scale(connections: int, rounds: int = 2,
                         for h in tb.hosts
                         for c in h.tcp.connections),
         wheel_ticks=wheel_ticks,
+        rpc_latencies_ns=latencies,
+        testbed=tb,
     )

@@ -8,7 +8,8 @@ measures — in particular *IPQ* (software-interrupt dispatch latency) and
 sharing, so the CPU is modelled explicitly:
 
 * Work is submitted as a :class:`Job` with a duration and a priority
-  level (:class:`Priority`).
+  level (:class:`Priority`).  The job is itself the event that
+  triggers when the work is done, so a process ``yield``\\ s it.
 * The highest-priority ready job runs; arrival of a strictly
   higher-priority job preempts the running one, which keeps its remaining
   work and resumes later (this is how an ATM receive interrupt steals
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.sim.engine import Event, ScheduledCall, Simulator
 
 __all__ = ["Priority", "Job", "CPU"]
+
+_PENDING = Event._PENDING
 
 
 class Priority:
@@ -40,29 +43,31 @@ class Priority:
     NAMES = {0: "hard_intr", 1: "soft_intr", 2: "kernel", 3: "user"}
 
 
-class Job:
+class Job(Event):
     """One piece of CPU work: a duration at a priority level.
 
-    The job's :attr:`done` event triggers when the CPU has dedicated
-    ``duration_ns`` of (possibly non-contiguous) time to it.
+    The job is its own completion event: it triggers when the CPU has
+    dedicated ``duration_ns`` of (possibly non-contiguous) time to it,
+    so a process simply ``yield``\\ s the job.  :attr:`name` is the work
+    label that :attr:`CPU.busy_by_label` and the observer hooks read.
     """
 
-    __slots__ = ("priority", "seq", "remaining", "done", "name",
-                 "enqueued_at", "started")
+    __slots__ = ("priority", "seq", "remaining", "started")
 
-    def __init__(self, priority: int, seq: int, duration_ns: int,
-                 done: Event, name: str, enqueued_at: int):
+    def __init__(self, sim: Simulator, priority: int, seq: int,
+                 duration_ns: int, name: str):
+        # Event.__init__, inlined: this runs once per charge.
+        self.sim = sim
+        self.name = name
+        self._callbacks = ()
+        self._waiter = None
+        self._value = _PENDING
+        self._exc = None
         self.priority = priority
         self.seq = seq
         self.remaining = duration_ns
-        self.done = done
-        self.name = name
-        self.enqueued_at = enqueued_at
         #: Whether the job has ever held the CPU (start vs resume hooks).
         self.started = False
-
-    def __lt__(self, other: "Job") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
 
     def __repr__(self) -> str:
         return (f"<Job {self.name!r} prio={self.priority} "
@@ -75,7 +80,9 @@ class CPU:
     def __init__(self, sim: Simulator, name: str = "cpu"):
         self.sim = sim
         self.name = name
-        self._ready: List[Job] = []
+        #: Heap of ``(priority, seq, job)``: ordering stays on the
+        #: integer prefix (seqs are unique per CPU).
+        self._ready: List[Tuple[int, int, Job]] = []
         self._running: Optional[Job] = None
         self._completion: Optional[ScheduledCall] = None
         self._run_started_at = 0
@@ -91,8 +98,9 @@ class CPU:
     # Submission
     # ------------------------------------------------------------------
     def run(self, duration_ns: int, priority: int = Priority.KERNEL,
-            name: str = "work") -> Event:
-        """Submit *duration_ns* of work; returns the completion event.
+            name: str = "work") -> Job:
+        """Submit *duration_ns* of work; returns the job, which is the
+        event that triggers when the work is done.
 
         Typical use from a simulated process::
 
@@ -100,12 +108,21 @@ class CPU:
         """
         if duration_ns < 0:
             raise ValueError(f"negative CPU work: {duration_ns}")
-        done = self.sim.event(name=f"{self.name}:{name}")
-        job = Job(priority, next(self._seq), int(duration_ns), done, name,
-                  self.sim.now)
-        heapq.heappush(self._ready, job)
-        self._dispatch()
-        return done
+        job = Job(self.sim, priority, next(self._seq), int(duration_ns),
+                  name)
+        running = self._running
+        if running is None:
+            # Completion and preemption start the next job at once, so
+            # an idle CPU has nothing ready: the new job runs now.
+            self._start(job)
+        elif priority < running.priority:
+            # The running job outranks everything already ready, so a
+            # strictly more urgent arrival is the one to run next.
+            self._preempt()
+            self._start(job)
+        else:
+            heapq.heappush(self._ready, (priority, job.seq, job))
+        return job
 
     # ------------------------------------------------------------------
     # Introspection
@@ -124,31 +141,24 @@ class CPU:
         """Number of ready (not running) jobs, optionally per priority."""
         if priority is None:
             return len(self._ready)
-        return sum(1 for job in self._ready if job.priority == priority)
+        return sum(1 for entry in self._ready if entry[0] == priority)
 
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        if self._running is not None:
-            if not self._ready or self._ready[0].priority >= self._running.priority:
-                return
-            self._preempt()
-        if not self._ready:
-            return
-        job = heapq.heappop(self._ready)
+    def _start(self, job: Job) -> None:
+        sim = self.sim
+        now = sim.now
         self._running = job
-        self._run_started_at = self.sim.now
-        hooks = self.sim.hooks
+        self._run_started_at = now
+        hooks = sim.hooks
         if hooks is not None:
             if job.started:
-                hooks.on_job_resume(self.sim.now, self, job)
+                hooks.on_job_resume(now, self, job)
             else:
-                hooks.on_job_start(self.sim.now, self, job)
+                hooks.on_job_start(now, self, job)
         job.started = True
-        self._completion = self.sim.schedule(
-            job.remaining, self._complete, job
-        )
+        self._completion = sim.schedule(job.remaining, self._complete, job)
 
     def _account(self, job: Job, elapsed: int) -> None:
         self.busy_ns += elapsed
@@ -159,24 +169,30 @@ class CPU:
     def _preempt(self) -> None:
         job = self._running
         assert job is not None and self._completion is not None
-        elapsed = self.sim.now - self._run_started_at
+        now = self.sim.now
+        elapsed = now - self._run_started_at
         job.remaining -= elapsed
         self._account(job, elapsed)
         self._completion.cancel()
         self._completion = None
         self._running = None
         self.preemptions += 1
-        heapq.heappush(self._ready, job)
-        if self.sim.hooks is not None:
-            self.sim.hooks.on_job_preempt(self.sim.now, self, job)
+        heapq.heappush(self._ready, (job.priority, job.seq, job))
+        hooks = self.sim.hooks
+        if hooks is not None:
+            hooks.on_job_preempt(now, self, job)
 
     def _complete(self, job: Job) -> None:
         assert job is self._running
-        self._account(job, self.sim.now - self._run_started_at)
+        sim = self.sim
+        now = sim.now
+        self._account(job, now - self._run_started_at)
         self._running = None
         self._completion = None
         self.jobs_completed += 1
-        if self.sim.hooks is not None:
-            self.sim.hooks.on_job_finish(self.sim.now, self, job)
-        job.done.succeed()
-        self._dispatch()
+        hooks = sim.hooks
+        if hooks is not None:
+            hooks.on_job_finish(now, self, job)
+        job.succeed()
+        if self._ready:
+            self._start(heapq.heappop(self._ready)[2])

@@ -36,6 +36,12 @@ Performance notes (the ``repro.perf`` hot path):
   is compacted in place once cancelled entries outnumber live ones
   (the CPU model's preemption leaves dead completions far in the
   future; TCP cancels retransmit/delayed-ack timers constantly).
+* A process that is an event's only waiter is parked in
+  ``Event._waiter`` rather than registered as a callback; the trigger
+  schedules ``Process._resume`` directly, from the same delay-0 slot a
+  lone callback would take, so every ``(time, key)`` is unchanged.
+  The CPU model's :class:`~repro.sim.cpu.Job` is itself an Event, so
+  a CPU charge costs one object, one completion entry and one resume.
 
 Everything else in :mod:`repro` — the CPU model, the device models, the
 protocol stack — is built on these primitives.
@@ -45,7 +51,8 @@ from __future__ import annotations
 
 import heapq
 from sys import getrefcount as _refcount
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Generator, Iterable, List, Optional,
+                    Sequence)
 
 from repro.sim.errors import (
     Deadlock,
@@ -171,33 +178,42 @@ class Event:
     run at the trigger's simulated time, in registration order; callbacks
     registered after the trigger run immediately (still via the event
     queue, preserving determinism).
+
+    A :class:`Process` that is the first and only party to wait on an
+    event parks itself in ``_waiter`` instead of registering a callback,
+    and the trigger schedules its resumption directly.  A later
+    :meth:`add_callback` moves the waiter to the front of the callback
+    list, so registration order is kept either way.
     """
 
     _PENDING = object()
 
-    __slots__ = ("sim", "_callbacks", "_value", "_exc", "name")
+    __slots__ = ("sim", "_callbacks", "_waiter", "_value", "_exc", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
         self.name = name
-        self._callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: ``()`` while nothing is registered, a non-empty list once a
+        #: callback is, ``None`` once triggered.
+        self._callbacks: Optional[Sequence[Callable[["Event"], None]]] = ()
+        self._waiter: Optional["Process"] = None
         self._value: Any = Event._PENDING
         self._exc: Optional[BaseException] = None
 
     @property
     def triggered(self) -> bool:
         """Whether :meth:`succeed` or :meth:`fail` has been called."""
-        return self._value is not Event._PENDING or self._exc is not None
+        return self._callbacks is None
 
     @property
     def ok(self) -> bool:
         """Whether the event succeeded (only meaningful once triggered)."""
-        return self.triggered and self._exc is None
+        return self._callbacks is None and self._exc is None
 
     @property
     def value(self) -> Any:
         """The value the event succeeded with."""
-        if not self.triggered:
+        if self._callbacks is not None:
             raise EventError(f"event {self.name!r} has not been triggered")
         if self._exc is not None:
             raise self._exc
@@ -205,7 +221,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering *value* to waiters."""
-        if self.triggered:
+        if self._callbacks is None:
             raise EventError(f"event {self.name!r} already triggered")
         self._value = value
         self._schedule_callbacks()
@@ -213,7 +229,7 @@ class Event:
 
     def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception, raised in each waiter."""
-        if self.triggered:
+        if self._callbacks is None:
             raise EventError(f"event {self.name!r} already triggered")
         if not isinstance(exc, BaseException):
             raise EventError("fail() requires an exception instance")
@@ -223,19 +239,31 @@ class Event:
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run ``fn(event)`` once the event triggers."""
-        if self._callbacks is None:
+        callbacks = self._callbacks
+        if callbacks is None:
             # Already triggered and dispatched: run at the current time.
             self.sim.schedule(0, fn, self)
+        elif self._waiter is not None:
+            self._callbacks = [self._waiter._on_event, fn]
+            self._waiter = None
+        elif isinstance(callbacks, list):
+            callbacks.append(fn)
         else:
-            self._callbacks.append(fn)
+            self._callbacks = [fn]
 
     def _schedule_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
-        if callbacks:
+        waiter = self._waiter
+        if waiter is not None:
+            # Single waiting process: resume it from the slot a lone
+            # callback would take (same queue position, same order).
+            self._waiter = None
+            exc = self._exc
+            self.sim.schedule(0, waiter._resume,
+                              None if exc is not None else self._value, exc)
+        elif callbacks:
             if len(callbacks) == 1:
-                # Single waiter (the overwhelmingly common case): skip
-                # the _dispatch wrapper frame.  Same queue position,
-                # same dispatch time and order.
+                # Single callback: skip the _dispatch wrapper frame.
                 self.sim.schedule(0, callbacks[0], self)
             else:
                 self.sim.schedule(0, self._dispatch, callbacks)
@@ -289,32 +317,35 @@ class Process(Event):
             self.fail(error)
             self._notify_end()
             return
-        try:
-            self._wait_on(target)
-        except ProcessError as error:
+        # Wait on what the generator yielded.
+        if isinstance(target, Event):
+            callbacks = target._callbacks
+            if callbacks is None:
+                # Already triggered: resume at the current time.
+                failure = target._exc
+                self.sim.schedule(0, self._resume,
+                                  None if failure is not None
+                                  else target._value, failure)
+            elif callbacks or target._waiter is not None:
+                target.add_callback(self._on_event)
+            else:
+                target._waiter = self
+        elif isinstance(target, int):
+            # Plain integers are timeouts in nanoseconds.
+            self.sim.schedule(target, self._resume, None, None)
+        else:
             self._gen.close()
-            self.fail(error)
+            self.fail(ProcessError(
+                f"process {self.name!r} yielded non-waitable "
+                f"{type(target).__name__}: {target!r}"))
             self._notify_end()
 
     def _notify_end(self) -> None:
         if self.sim.hooks is not None:
             self.sim.hooks.on_process_end(self.sim.now, self)
 
-    def _wait_on(self, target: Any) -> None:
-        if isinstance(target, int):
-            # Plain integers are timeouts in nanoseconds.
-            self.sim.schedule(target, self._resume, None, None)
-            return
-        if isinstance(target, Event):
-            target.add_callback(self._on_event)
-            return
-        raise ProcessError(
-            f"process {self.name!r} yielded non-waitable "
-            f"{type(target).__name__}: {target!r}"
-        )
-
     def _on_event(self, event: Event) -> None:
-        if event.ok:
+        if event._exc is None:
             self._resume(event._value, None)
         else:
             self._resume(None, event._exc)
@@ -478,11 +509,15 @@ class Simulator:
 
     @staticmethod
     def _trigger_timeout(ev: Event, value: Any) -> None:
-        if ev._value is not Event._PENDING or ev._exc is not None:
+        callbacks, ev._callbacks = ev._callbacks, None
+        if callbacks is None:
             raise EventError(f"event {ev.name!r} already triggered")
         ev._value = value
-        callbacks, ev._callbacks = ev._callbacks, None
-        if callbacks:
+        waiter = ev._waiter
+        if waiter is not None:
+            ev._waiter = None
+            waiter._resume(value, None)
+        elif callbacks:
             for fn in callbacks:
                 fn(ev)
 

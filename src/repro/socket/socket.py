@@ -18,7 +18,7 @@ from repro.kern.config import ChecksumMode
 from repro.mem.mbuf import CLUSTER_THRESHOLD, MbufChain, MbufExhausted
 from repro.checksum.internet import raw_sum
 from repro.tcp.partials import chunk_partial_sums
-from repro.sim.cpu import Priority
+from repro.sim.cpu import Job, Priority
 from repro.sim.engine import us
 from repro.sim.resources import Store
 from repro.socket.sockbuf import SockBuf
@@ -68,7 +68,7 @@ class Socket:
         """Active open; completes when the connection is ESTABLISHED."""
         if self.conn is not None:
             raise SocketError("socket already connected")
-        yield from self._charge_syscall_entry()
+        yield self._charge_syscall_entry()
         yield self.host.splnet_acquire()
         try:
             self.conn = self.host.tcp.create_connection(
@@ -78,7 +78,7 @@ class Socket:
         finally:
             self.host.splnet_release()
         yield self.conn.established_event
-        yield from self._charge_syscall_exit()
+        yield self._charge_syscall_exit()
 
     def listen(self, port: int) -> None:
         """Passive open: become a listener on *port*."""
@@ -91,11 +91,11 @@ class Socket:
         """Wait for and return an established child socket."""
         if self.accept_queue is None:
             raise SocketError("accept on a non-listening socket")
-        yield from self._charge_syscall_entry()
+        yield self._charge_syscall_entry()
         while len(self.accept_queue) == 0:
             yield from self.host.scheduler.sleep(self.rcv_channel)
         child = (yield self.accept_queue.get())
-        yield from self._charge_syscall_exit()
+        yield self._charge_syscall_exit()
         return child
 
     def spawn_child(self) -> "Socket":
@@ -112,7 +112,7 @@ class Socket:
         # The paper's transmit-side *User* span: from the write system
         # call to the beginning of TCP output processing.
         token = self.host.tracer.begin("tx.user")
-        yield from self._charge_syscall_entry()
+        yield self._charge_syscall_entry()
         while len(remaining):
             # Enter the protocol section (splnet) before touching the
             # socket buffer; sleep for space with the section released.
@@ -153,7 +153,7 @@ class Socket:
             if wait_enobufs:
                 yield self.host.sim.timeout(
                     us(self.host.config.mbuf_wait_us))
-        yield from self._charge_syscall_exit()
+        yield self._charge_syscall_exit()
         return len(data)
 
     def _sosend_copyin(self, data: bytes, token) -> Generator:
@@ -244,12 +244,12 @@ class Socket:
         self._require_connected()
         received = bytearray()
         while len(received) < nbytes:
-            yield from self._charge_syscall_entry()
+            yield self._charge_syscall_entry()
             yield self.host.splnet_acquire()
             while self.so_rcv.empty:
                 self.host.splnet_release()
                 if self.eof or self.error:
-                    yield from self._charge_syscall_exit()
+                    yield self._charge_syscall_exit()
                     self._raise_if_dead(allow_eof=True)
                     return bytes(received)
                 yield from self.host.scheduler.sleep(
@@ -299,7 +299,7 @@ class Socket:
             # tell the peer (BSD sends a window update from sbdrop's
             # caller when the window grows by >= 2 segments).
             yield from self.conn.window_update(Priority.KERNEL)
-        yield from self._charge_syscall_exit()
+        yield self._charge_syscall_exit()
         duration_us = tracer.end(token)
         if delivery is not None:
             delivery.add("rx.user", host.name,
@@ -314,24 +314,24 @@ class Socket:
         """Close the socket: FIN handshake via the connection."""
         if self.conn is None:
             return
-        yield from self._charge_syscall_entry()
+        yield self._charge_syscall_entry()
         yield self.host.splnet_acquire()
         try:
             yield from self.conn.usr_close(Priority.KERNEL)
         finally:
             self.host.splnet_release()
-        yield from self._charge_syscall_exit()
+        yield self._charge_syscall_exit()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _charge_syscall_entry(self) -> Generator:
-        yield self.host.cpu.run(
+    def _charge_syscall_entry(self) -> Job:
+        return self.host.cpu.run(
             us(self.host.costs.syscall_entry_us),
             Priority.KERNEL, "syscall entry")
 
-    def _charge_syscall_exit(self) -> Generator:
-        yield self.host.cpu.run(
+    def _charge_syscall_exit(self) -> Job:
+        return self.host.cpu.run(
             us(self.host.costs.syscall_exit_us),
             Priority.KERNEL, "syscall exit")
 

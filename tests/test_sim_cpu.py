@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CPU, Priority, Simulator
+from repro.sim import CPU, Event, Job, Priority, Simulator
 
 
 def make_cpu():
@@ -168,3 +168,62 @@ def test_sequential_yields_model_a_kernel_path():
     p = sim.process(syscall())
     sim.run_until_triggered(p)
     assert sim.now == 35_000
+
+
+def test_run_returns_the_job_as_its_completion_event():
+    sim, cpu = make_cpu()
+    job = cpu.run(700, Priority.KERNEL, "copyin")
+    assert isinstance(job, Job) and isinstance(job, Event)
+    assert job.name == "copyin"
+    assert not job.triggered
+    sim.run_until_triggered(job)
+    assert job.triggered and job.ok and job.value is None
+    assert sim.now == 700
+
+
+def test_resumed_process_runs_after_callback_queued_for_completion():
+    """The waiter resumes through a delay-0 hop, never inline: anything
+    already queued for the completion instant runs first."""
+    sim, cpu = make_cpu()
+    order = []
+
+    def worker():
+        yield cpu.run(100, Priority.KERNEL, "work")
+        order.append(("process", sim.now))
+
+    sim.process(worker())
+    # Queued at t=50 for t=100: after the job's completion entry (t=0),
+    # before the resumption the completion schedules.
+    sim.schedule(50, sim.schedule, 50, lambda: order.append(
+        ("callback", sim.now)))
+    sim.run()
+    assert order == [("callback", 100), ("process", 100)]
+
+
+def test_unpreempted_job_costs_two_schedules_and_two_events():
+    """One completion plus one resumption, nothing else."""
+    sim, cpu = make_cpu()
+    gate = sim.event()
+
+    def worker():
+        yield gate
+        yield cpu.run(100, Priority.KERNEL, "work")
+
+    proc = sim.process(worker())
+    sim.run()  # the worker now waits on the gate
+    scheduled = []
+    schedule = sim.schedule
+
+    def counted(delay, fn, *args):
+        scheduled.append(fn.__name__)
+        return schedule(delay, fn, *args)
+
+    sim.schedule = counted
+    events_before = sim.events_executed
+    gate.succeed()
+    sim.run()
+    assert not proc.alive
+    # The gate's own resumption, then the job: completion + resumption.
+    assert scheduled == ["_resume", "_complete", "_resume"]
+    assert sim.events_executed - events_before == 3
+    assert cpu.jobs_completed == 1 and cpu.preemptions == 0

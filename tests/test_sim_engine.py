@@ -251,6 +251,76 @@ class TestProcess:
             sim.run_until_triggered(p)
 
 
+class TestSingleWaiterResume:
+    """A process that is an event's only waiter is parked in the event
+    and resumed from the slot a lone callback would take."""
+
+    def test_callback_added_after_waiter_runs_after_it(self):
+        sim = Simulator()
+        ev = sim.event()
+        order = []
+
+        def waiter():
+            yield ev
+            order.append("process")
+
+        sim.process(waiter())
+        sim.run()  # the process is now waiting on ev
+        ev.add_callback(lambda _e: order.append("callback"))
+        ev.succeed()
+        sim.run()
+        assert order == ["process", "callback"]
+
+    def test_second_waiter_keeps_registration_order(self):
+        sim = Simulator()
+        ev = sim.event()
+        order = []
+
+        def waiter(tag):
+            yield ev
+            order.append(tag)
+
+        sim.process(waiter("first"))
+        sim.process(waiter("second"))
+        sim.run()
+        ev.add_callback(lambda _e: order.append("callback"))
+        ev.succeed()
+        sim.run()
+        assert order == ["first", "second", "callback"]
+
+    def test_fail_raises_inside_single_waiter(self):
+        sim = Simulator()
+        ev = sim.event()
+        caught = []
+
+        def waiter():
+            try:
+                yield ev
+            except KeyError as exc:
+                caught.append((sim.now, exc.args))
+            return "recovered"
+
+        p = sim.process(waiter())
+        sim.run()
+        assert ev._waiter is p
+        ev.fail(KeyError("lost"))
+        assert sim.run_until_triggered(p) == "recovered"
+        assert caught == [(0, ("lost",))]
+
+    def test_timeout_resumes_single_waiter_inline(self):
+        """No delay-0 hop: the timeout's own dispatch resumes the waiter."""
+        sim = Simulator()
+        got = []
+
+        def waiter():
+            got.append((yield sim.timeout(100, "v")))
+
+        sim.process(waiter())
+        sim.run()
+        assert got == ["v"]
+        assert sim.events_executed == 2  # process start + the timeout
+
+
 class TestCombinators:
     def test_all_of_collects_values_in_order(self):
         sim = Simulator()
