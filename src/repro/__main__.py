@@ -57,10 +57,9 @@ section):
   table command: fan independent sweep cells out over N worker
   processes, and/or bypass the on-disk result cache.  Results are
   byte-identical either way; only wall time changes.
-* ``python -m repro bench [--label L] [--quick] [--strict]
-  [--baseline FILE] [--tolerance PCT]`` — run the wall-time regression
-  harness, write ``BENCH_<label>.json`` and compare against the
-  committed ``benchmarks/baseline.json``.
+
+Wall-time measurement lives outside the package, in ``perfbench/``
+(see its README).
 """
 
 from __future__ import annotations
@@ -807,111 +806,17 @@ def cmd_fuzz(args) -> int:
         fmt, [f"campaign seed={base_seed} seeds={seeds}"])
 
 
-def _default_baseline_path():
-    """The committed baseline matching this run's execution path.
-
-    ``benchmarks/baseline_native.json`` when the compiled core is in
-    use, ``benchmarks/baseline.json`` for the pure interpreter —
-    resolved from the cwd or the repo checkout.  Comparing across
-    paths is a multi-x gap by construction, so each path keeps its
-    own trajectory (an explicit ``--baseline`` still wins, and
-    ``write_report`` warns on a path mismatch rather than comparing).
-    """
-    import os
-    from repro.perf.native import NATIVE_IN_USE
-    name = "baseline_native.json" if NATIVE_IN_USE else "baseline.json"
-    candidate = os.path.join("benchmarks", name)
-    if os.path.exists(candidate):
-        return candidate
-    import repro
-    pkg_root = os.path.dirname(os.path.abspath(repro.__file__))
-    candidate = os.path.join(os.path.dirname(os.path.dirname(pkg_root)),
-                             "benchmarks", name)
-    return candidate if os.path.exists(candidate) else None
-
-
-def _bench_both(args) -> int:
-    """``repro bench --both``: one native and one pure subprocess.
-
-    Each child is a fresh interpreter because the execution path is
-    chosen once at import time (repro.perf.native); flipping
-    REPRO_NATIVE in-process would have no effect.
-    """
-    import os
-    import subprocess
-    import sys
-
-    worst = 0
-    for label, flag in (("native", "1"), ("pure", "0")):
-        env = dict(os.environ, REPRO_NATIVE=flag)
-        rc = subprocess.call(
-            [sys.executable, "-m", "repro", "bench", "--label", label]
-            + args, env=env)
-        if rc == 2:
-            return 2
-        worst = max(worst, rc)
-    return worst
-
-
-def cmd_bench(args) -> int:
-    """``python -m repro bench [--label L] [--quick] [--strict]
-    [--both] ...``."""
-    from repro.perf.bench import (
-        DEFAULT_TOLERANCE_PCT,
-        format_report,
-        run_benchmarks,
-        write_report,
-    )
-
-    label, out, baseline = "local", None, None
-    tolerance = DEFAULT_TOLERANCE_PCT
-    quick = strict = both = False
-    passthrough = []
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in ("--label", "--out", "--baseline", "--tolerance"):
-            if i + 1 >= len(args):
-                print(f"bench: {arg} needs a value")
-                return 2
-            value = args[i + 1]
-            if arg == "--label":
-                label = value
-            elif arg == "--out":
-                out = value
-            elif arg == "--baseline":
-                baseline = value
-            else:
-                tolerance = float(value)
-            if arg != "--label":
-                passthrough += [arg, value]
-            i += 2
-        elif arg == "--quick":
-            quick = True
-            passthrough.append(arg)
-            i += 1
-        elif arg == "--strict":
-            strict = True
-            passthrough.append(arg)
-            i += 1
-        elif arg == "--both":
-            both = True
-            i += 1
-        else:
-            print(f"bench: unknown argument {arg}")
-            return 2
-    if both:
-        return _bench_both(passthrough)
-    if baseline is None:
-        baseline = _default_baseline_path()
-    metrics = run_benchmarks(quick=quick)
-    doc = write_report(metrics, label, out_path=out,
-                       baseline_path=baseline, tolerance_pct=tolerance)
-    print(format_report(doc))
-    comparison = doc.get("comparison")
-    regressed = bool(comparison) and any(
-        row["regressed"] for row in comparison["rows"])
-    return 1 if (strict and regressed) else 0
+#: Subcommand word -> handler taking the remaining arguments.
+COMMANDS = {
+    "trace": cmd_trace,
+    "metrics": cmd_metrics,
+    "explain": cmd_explain,
+    "lint": cmd_lint,
+    "sanitize": cmd_sanitize,
+    "racecheck": cmd_racecheck,
+    "chaos": cmd_chaos,
+    "fuzz": cmd_fuzz,
+}
 
 
 def _extract_sweep_flags(args):
@@ -944,31 +849,14 @@ def main(argv) -> int:
     SWEEP_OPTIONS.use_cache = use_cache
     if "--list" in args:
         return list_targets()
-    if args and args[0] == "trace":
-        return cmd_trace(args[1:])
-    if args and args[0] == "metrics":
-        return cmd_metrics(args[1:])
-    if args and args[0] == "explain":
-        return cmd_explain(args[1:])
-    if args and args[0] == "lint":
-        return cmd_lint(args[1:])
-    if args and args[0] == "sanitize":
-        return cmd_sanitize(args[1:])
-    if args and args[0] == "racecheck":
-        return cmd_racecheck(args[1:])
-    if args and args[0] == "bench":
-        return cmd_bench(args[1:])
-    if args and args[0] == "chaos":
-        return cmd_chaos(args[1:])
-    if args and args[0] == "fuzz":
-        return cmd_fuzz(args[1:])
+    if args and args[0] in COMMANDS:
+        return COMMANDS[args[0]](args[1:])
     names = args or list(SECTIONS)
     unknown = [n for n in names if n not in SECTIONS]
     if unknown:
         print(f"unknown section(s): {', '.join(unknown)}")
-        print(f"available: {' '.join(SECTIONS)} trace metrics explain "
-              f"lint sanitize racecheck bench chaos fuzz --list "
-              f"[--parallel N] [--no-cache]")
+        print(f"available: {' '.join(SECTIONS)} {' '.join(COMMANDS)} "
+              f"--list [--parallel N] [--no-cache]")
         return 2
     for i, name in enumerate(names):
         if i:

@@ -146,9 +146,7 @@ class ConnScaleResult:
     """What an N-connection run did, in simulator terms.
 
     ``events_executed`` is the engine's dispatch count for the whole
-    run — the numerator of the bench harness's events/sec metric (the
-    harness supplies the wall-clock denominator; nothing here reads
-    wall time).  ``rpc_latencies_ns`` holds one simulated latency per
+    run (nothing here reads wall time).  ``rpc_latencies_ns`` holds one simulated latency per
     RPC (request send to full reply received), in completion order;
     ``testbed`` is the host pair the run used, for post-run audits.
     """

@@ -1,6 +1,6 @@
-"""Performance tooling: cached+parallel sweeps and the bench harness.
+"""Performance tooling: cached+parallel sweeps and native dispatch.
 
-Four legs (none of which alter simulated results — equivalence is
+Three legs (none of which alter simulated results — equivalence is
 enforced by ``tests/test_perf_equivalence.py`` and the golden fixtures
 in ``tests/perf_golden/``):
 
@@ -10,10 +10,11 @@ in ``tests/perf_golden/``):
 * :mod:`repro.perf.runner` — deterministic parallel sweep execution
   over a ``multiprocessing`` spawn pool, shared by the CLI tables and
   the pytest benchmarks;
-* :mod:`repro.perf.bench` — the ``repro bench`` wall-time regression
-  harness and its committed baseline;
 * :mod:`repro.perf.native` — import-time dispatch to the optional
   compiled hot core (``REPRO_NATIVE=0|1``).
+
+Wall time is measured by ``perfbench/`` at the repository root, not
+from inside the package.
 
 The re-exports below are resolved lazily (PEP 562): the hot-path
 modules (``repro.sim.engine``, ``repro.checksum``, …) import

@@ -441,39 +441,6 @@ class Simulator:
             self.hooks.on_schedule(self._now, call)
         return call
 
-    def reschedule(self, call: ScheduledCall, delay_ns: int) -> ScheduledCall:
-        """Move a **pending** *call* to fire after *delay_ns* instead.
-
-        The dominant timer pattern — cancel + re-schedule of the same
-        callback on every ACK — leaves a cancelled tombstone in the heap
-        per cycle.  When the new time is not earlier than the call's
-        current one (the common case: pushing a deadline out), this
-        defers in place: ``call.time`` is updated and the stale heap
-        entry is re-keyed lazily when it surfaces at a pop, so no
-        tombstone is ever created.  An earlier target falls back to
-        cancel + fresh schedule (returning the new handle).
-
-        The deferred call keeps its original tie-break key, so among
-        same-time events it sorts where its *first* scheduling did —
-        which is why the default TCP timer path does not use this (the
-        goldens pin cancel+schedule ordering).  Only valid on a call
-        that has neither fired nor been cancelled, like BSD's
-        ``untimeout``/``timeout`` pairing.
-        """
-        if delay_ns < 0:
-            raise SchedulingError(f"negative delay: {delay_ns}")
-        if call.cancelled:
-            raise SchedulingError("reschedule() on a cancelled call")
-        new_time = self._now + int(delay_ns)
-        if new_time >= call.time:
-            call.time = new_time
-            if self.hooks is not None:
-                self.hooks.on_schedule(self._now, call)
-            return call
-        fn, args = call.fn, call.args
-        call.cancel()
-        return self.schedule(delay_ns, fn, *args)
-
     def _maybe_compact(self) -> None:
         """Drop lazily-cancelled heap entries once they are the majority.
 
@@ -586,13 +553,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next non-cancelled callback.  Returns False when
-        the queue is empty.
-
-        This is the single cancelled-entry skip point: ``run(until)``
-        peeks through the same logic instead of re-scanning (the seed
-        popped cancelled heads in ``_peek_time`` *and* re-checked
-        ``cancelled`` here on every iteration).
-        """
+        the queue is empty."""
         queue = self._queue
         pop = heapq.heappop
         while queue:
@@ -602,10 +563,6 @@ class Simulator:
                     call.fn = _noop
                     call.args = ()
                     self._pool.append(call)
-                continue
-            if call.time != time:
-                # Deferred by reschedule(): re-key to the new time.
-                heapq.heappush(queue, (call.time, call.key, call))
                 continue
             if time < self._now:
                 raise SchedulingError("event queue went backwards in time")
@@ -638,7 +595,6 @@ class Simulator:
             raise SchedulingError(f"until={until} is in the past")
         queue = self._queue
         pop = heapq.heappop
-        push = heapq.heappush
         pool = self._pool
         executed = 0
         try:
@@ -653,11 +609,6 @@ class Simulator:
                         pool.append(call)
                     continue
                 time = entry[0]
-                if call.time != time:
-                    # Deferred by reschedule(): re-key to the new time.
-                    pop(queue)
-                    push(queue, (call.time, call.key, call))
-                    continue
                 if time > until:
                     break
                 pop(queue)
@@ -683,7 +634,6 @@ class Simulator:
         loop with a hooks-aware fallback."""
         queue = self._queue
         pop = heapq.heappop
-        push = heapq.heappush
         pool = self._pool
         executed = 0
         try:
@@ -702,10 +652,6 @@ class Simulator:
                         call.fn = _noop
                         call.args = ()
                         pool.append(call)
-                    continue
-                if call.time != time:
-                    # Deferred by reschedule(): re-key to the new time.
-                    push(queue, (call.time, call.key, call))
                     continue
                 if time < self._now:
                     raise SchedulingError(
@@ -733,7 +679,6 @@ class Simulator:
         # Hooks-off fast loop: inlined dispatch, hot names in locals.
         queue = self._queue
         pop = heapq.heappop
-        push = heapq.heappush
         pool = self._pool
         executed = 0
         try:
@@ -754,11 +699,7 @@ class Simulator:
                             f"triggered")
                     time, _key, call = pop(queue)
                     if not call.cancelled:
-                        if call.time == time:
-                            break
-                        # Deferred by reschedule(): re-key and rescan.
-                        push(queue, (call.time, call.key, call))
-                        continue
+                        break
                     if _refcount(call) == 2 and len(pool) < _POOL_MAX:
                         call.fn = _noop
                         call.args = ()
@@ -776,24 +717,6 @@ class Simulator:
         finally:
             self._events_executed += executed
         return event.value
-
-    def _peek_time(self) -> int:
-        """Earliest live event time (compat helper; the run loops now
-        peek inline through :meth:`step`'s single skip point)."""
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            call = entry[2]
-            if call.cancelled:
-                heapq.heappop(queue)
-                continue
-            if call.time != entry[0]:
-                # Deferred by reschedule(): re-key to the new time.
-                heapq.heappop(queue)
-                heapq.heappush(queue, (call.time, call.key, call))
-                continue
-            return entry[0]
-        return self._now
 
 
 # ----------------------------------------------------------------------
@@ -825,11 +748,9 @@ if _CORE is not None:
             self._keyfn = tiebreak_keyfn(tiebreak)
             core = _CORE.EngineCore(self._keyfn)
             self._core = core
-            #: Bound C methods in the instance dict: callers resolve
-            #: `sim.schedule`/`sim.reschedule` straight to the compiled
-            #: entry points.
+            #: Bound C method in the instance dict: callers resolve
+            #: `sim.schedule` straight to the compiled entry point.
             self.schedule = core.schedule
-            self.reschedule = core.reschedule
             if hooks is not None:
                 self.set_hooks(hooks)
 
@@ -886,8 +807,5 @@ if _CORE is not None:
 
         def _maybe_compact(self) -> None:
             self._core.maybe_compact()
-
-        def _peek_time(self) -> int:
-            return self._core.peek_time()
 
     Simulator = _NativeSimulator  # type: ignore[misc]

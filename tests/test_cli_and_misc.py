@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import SECTIONS, main
+import repro.__main__ as cli
+from repro.__main__ import COMMANDS, SECTIONS, main
 from repro.hw.costs import LinearCost, decstation_5000_200
 from repro.kern.config import ChecksumMode, KernelConfig, PcbLookup
 
@@ -32,6 +33,31 @@ class TestCLI:
                      "table6", "table7", "pcb", "mbuf", "sun3", "errors",
                      "summary"):
             assert name in SECTIONS
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        assert main(["repro", "bench"]) == 2
+        assert "unknown section" in capsys.readouterr().out
+
+    def test_every_usage_word_dispatches(self, capsys, monkeypatch):
+        assert main(["repro", "nonsense"]) == 2
+        usage = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("available:"))
+        words = [w for w in usage.split()[1:]
+                 if "[" not in w and "]" not in w]
+        assert "table1" in words and "trace" in words and "--list" in words
+        monkeypatch.setattr(cli, "list_targets", lambda: 41)
+        for word in words:
+            if word in SECTIONS:
+                continue
+            if word == "--list":
+                assert main(["repro", word]) == 41
+                continue
+            assert word in COMMANDS, f"usage word {word!r} does not dispatch"
+            seen = []
+            monkeypatch.setitem(COMMANDS, word,
+                                lambda rest: seen.append(rest) or 42)
+            assert main(["repro", word, "x"]) == 42
+            assert seen == [["x"]]
 
 
 class TestKernelConfig:

@@ -6,8 +6,7 @@ features: with the flags on, a single-connection run must emit the
 *identical* segment sequence — same seq/ack/flags/length, clean or
 lossy — only at (possibly) different simulated instants.  This suite
 pins that contract at the packet-log level, unit-tests the wheel's
-quantization and idle-skip rules, checks ``reschedule()`` parity
-between the pure and compiled engines, and exercises the N-connection
+quantization and idle-skip rules, and exercises the N-connection
 workload runner end to end.
 """
 
@@ -17,8 +16,7 @@ from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.packetlog import attach_packet_log
 from repro.core.testbed import build_atm_pair
 from repro.kern.config import KernelConfig
-from repro.sim import engine
-from repro.sim.engine import SchedulingError, Simulator
+from repro.sim.engine import Simulator
 from repro.tcp.timewheel import FAST_SLOTS, SLOW_SLOTS, TimerWheel
 from tests.test_tcp_recovery import DropNth
 
@@ -199,121 +197,6 @@ class TestTimerWheelUnit:
         assert wheel._fast_tick is None and wheel._slow_tick is None
         sim.run()
         assert wheel.ticks == ticks_after
-
-
-class TestRescheduleSemantics:
-    """Engine-level contract of the reschedule() fast path (runs on
-    whichever engine REPRO_NATIVE selected for this interpreter)."""
-
-    def test_defer_returns_same_handle_and_fires_once(self):
-        sim = Simulator()
-        fired = []
-        call = sim.schedule(100, lambda: fired.append(sim.now))
-        again = sim.reschedule(call, 250)
-        assert again is call
-        sim.run()
-        assert fired == [250]
-
-    def test_deferred_call_keeps_original_tiebreak(self):
-        # a scheduled first, deferred onto b's time: a still fires
-        # first among equals (cancel+schedule would order it after b).
-        sim = Simulator()
-        order = []
-        a = sim.schedule(100, lambda: order.append("a"))
-        sim.schedule(250, lambda: order.append("b"))
-        sim.reschedule(a, 250)
-        sim.run()
-        assert order == ["a", "b"]
-
-    def test_earlier_target_falls_back_to_fresh_handle(self):
-        sim = Simulator()
-        fired = []
-        call = sim.schedule(500, lambda: fired.append(sim.now))
-        new = sim.reschedule(call, 100)
-        assert new is not call
-        sim.run()
-        assert fired == [100]
-
-    def test_run_until_respects_deferred_time(self):
-        sim = Simulator()
-        fired = []
-        call = sim.schedule(100, lambda: fired.append(sim.now))
-        sim.reschedule(call, 300)
-        sim.run(until=200)  # past the stale heap key, before the real one
-        assert fired == []
-        sim.run(until=300)
-        assert fired == [300]
-
-    def test_reschedule_cancelled_call_raises(self):
-        sim = Simulator()
-        call = sim.schedule(100, lambda: None)
-        call.cancel()
-        with pytest.raises(SchedulingError,
-                           match="reschedule\\(\\) on a cancelled call"):
-            sim.reschedule(call, 50)
-
-    def test_negative_delay_raises(self):
-        sim = Simulator()
-        call = sim.schedule(100, lambda: None)
-        with pytest.raises(SchedulingError, match="negative delay"):
-            sim.reschedule(call, -1)
-
-    def test_repeated_defers_like_per_ack_rearm(self):
-        sim = Simulator()
-        fired = []
-        call = sim.schedule(1_000, lambda: fired.append(sim.now))
-        for i in range(1, 200):
-            call = sim.reschedule(call, 1_000 + i)
-        sim.run()
-        assert fired == [1_199]
-
-
-@pytest.mark.skipif(getattr(engine, "_NativeSimulator", None) is None,
-                    reason="compiled engine not in use")
-class TestReschedulePureNativeParity:
-    """The same scripted scenario must execute identically on the pure
-    and compiled engines — order, times, handles, and errors."""
-
-    @staticmethod
-    def _drive(cls):
-        sim = cls()
-        order = []
-
-        def mk(tag):
-            return lambda: order.append((tag, sim.now))
-
-        a = sim.schedule(100, mk("a"))
-        b = sim.schedule(200, mk("b"))
-        c = sim.schedule(300, mk("c"))
-        assert sim.reschedule(a, 250) is a       # defer in place
-        c2 = sim.reschedule(c, 50)               # earlier: fresh handle
-        assert c2 is not c
-        b.cancel()
-        sim.schedule(250, mk("d"))               # ties with deferred a
-        sim.run(until=120)                       # stale key of a surfaces
-        sim.schedule(260, mk("e"))
-        sim.run()
-        return order
-
-    def test_execution_order_identical(self):
-        pure = self._drive(engine._PurePythonSimulator)
-        native = self._drive(engine._NativeSimulator)
-        assert native == pure
-        assert [tag for tag, _ in pure] == ["c", "a", "d", "e"]
-
-    def test_error_messages_identical(self):
-        messages = []
-        for cls in (engine._PurePythonSimulator, engine._NativeSimulator):
-            sim = cls()
-            call = sim.schedule(10, lambda: None)
-            call.cancel()
-            with pytest.raises(SchedulingError) as cancelled:
-                sim.reschedule(call, 5)
-            live = sim.schedule(10, lambda: None)
-            with pytest.raises(SchedulingError) as negative:
-                sim.reschedule(live, -7)
-            messages.append((str(cancelled.value), str(negative.value)))
-        assert messages[0] == messages[1]
 
 
 class TestTimeWaitAtScale:
