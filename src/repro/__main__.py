@@ -1,62 +1,12 @@
-"""Command-line reproduction runner: ``python -m repro [table...]``.
+"""Command-line reproduction runner: ``python -m repro [section ...]``.
 
 Regenerates the paper's tables and figures and prints them next to the
-published values.  With no arguments, everything is run; otherwise pass
-any of: table1 table2 table3 table4 table5 table6 table7 pcb mbuf sun3
-errors summary throughput profile calibration.
-
-Observability subcommands (see :mod:`repro.obs` and the README's
-"Observability" section):
-
-* ``python -m repro trace <target> [--out FILE] [--jsonl FILE]
-  [--flow FILE] [--size N] [--iterations N]`` — run one observed
-  round-trip experiment and export a Chrome ``trace_event`` JSON (open
-  it in ``chrome://tracing`` or https://ui.perfetto.dev), optionally a
-  JSONL event stream, and optionally the per-connection flow-telemetry
-  JSONL (``--flow`` also turns on causal lineage tracing).
-* ``python -m repro metrics [target] [--size N] [--iterations N]
-  [--format text|csv]`` — same run, but print the metrics/spans dump
-  (plain text, or flat CSV for spreadsheets/pandas).
-* ``python -m repro explain [target] [--size N] [--iterations N]
-  [--rtt K] [--out FILE]`` — trace causal packet lineage through one
-  run and render the K-th round trip as a per-layer waterfall whose
-  rows sum exactly to the measured RTT (``--out`` writes the single
-  RTT as a Chrome trace).  ``repro explain --diff A B`` compares two
-  targets' attribution profiles and names the layer that ate the
-  difference (targets are trace targets plus ``impaired``, a
-  fixed-seed lossy link).
-* ``python -m repro --list`` — enumerate every runnable section and
-  trace target (used by CI).
-
-Static analysis & determinism subcommands (see :mod:`repro.analysis`
-and the README's "Static analysis & determinism checking" section):
-
-* ``python -m repro lint [paths...] [--format text|json|github]`` —
-  run the AST determinism/layering linter (defaults to the installed
-  repro package); exits 1 on error-severity findings.  ``--rules``
-  prints the rule catalog.  ``--format github`` emits workflow
-  annotation commands for CI.
-* ``python -m repro sanitize [paths...] [--format text|json|github]``
-  — static sanitizer: mbuf ownership dataflow analysis (leaks on
-  early-return/exception paths, double frees, use after handoff) plus
-  the TCP state-machine exhaustiveness diff against the declared
-  RFC 793 spec.  ``--table`` prints the extracted transition table;
-  ``--rules`` the ownership rule catalog.  The runtime half is
-  ``REPRO_SANITIZE=1`` (poison-on-free, allocation-site provenance,
-  leak-at-quiesce audits, timer sanitizer).
-* ``python -m repro racecheck [target] [--size N] [--iterations N]
-  [--tiebreaks CSV]`` — re-run a trace target under perturbed
-  same-timestamp event orderings and diff packet logs, RTT samples and
-  conservation counters against the FIFO baseline; exits 1 on any
-  ordering divergence or invariant violation.
-
-Performance (see :mod:`repro.perf` and the README's "Performance"
-section):
-
-* ``--parallel N`` / ``--no-cache`` — global flags accepted by every
-  table command: fan independent sweep cells out over N worker
-  processes, and/or bypass the on-disk result cache.  Results are
-  byte-identical either way; only wall time changes.
+published values; with no section named, every section runs.  The same
+entry point carries the observability commands (``trace``, ``metrics``,
+``explain``) and the checkers (``lint``, ``sanitize``, ``racecheck``,
+``chaos``, ``fuzz``).  ``python -m repro --help`` lists them, and
+``python -m repro <command> --help`` gives each one's options.  Usage
+errors exit 2; a checker that finds violations exits 1.
 
 Wall-time measurement lives outside the package, in ``perfbench/``
 (see its README).
@@ -64,9 +14,20 @@ Wall-time measurement lives outside the package, in ``perfbench/``
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import time
 
+from repro.analysis import (DEFAULT_PERTURBATIONS, Finding, Severity,
+                            analyze_paths, check_state_machine,
+                            format_transition_table, lint_paths,
+                            ownership_rule_catalog, racecheck_round_trip,
+                            rule_catalog)
+from repro.chaos import (DEFAULT_LOSSES, DEFAULT_SIZES, ImpairmentConfig,
+                         Impairments, campaign_findings, format_loss_sweep,
+                         racecheck_chaos, replay_case, run_fuzz_campaign,
+                         run_loss_sweep, save_case)
 from repro.core import paperdata
 from repro.core.breakdown import measure_breakdowns
 from repro.core.errorstudy import run_error_study
@@ -80,6 +41,8 @@ from repro.core.report import ascii_chart, format_table, pct_change
 from repro.kern.config import ChecksumMode, KernelConfig
 from repro.perf.runner import SweepOptions
 from repro.perf.runner import run_sweep as _perf_run_sweep
+from repro.sim import SchedulingError
+from repro.sim.engine import tiebreak_keyfn
 
 ITER, WARM = 6, 2
 
@@ -239,7 +202,6 @@ def sun3() -> None:
 
 
 def throughput() -> None:
-    from repro.core.report import format_table
     from repro.core.throughput import run_bulk_throughput
     rows = []
     for mode in ChecksumMode:
@@ -311,37 +273,15 @@ TRACE_TARGETS = {
 }
 
 
-def _parse_obs_args(args, default_size=8000, default_iters=4):
-    """Parse ``[target] [--out F] [--jsonl F] [--flow F] [--size N]
-    [--iterations N] [--format FMT] [--rtt K]``."""
-    opts = {"target": None, "out": None, "jsonl": None, "flow": None,
-            "size": default_size, "iterations": default_iters,
-            "format": "text", "rtt": 0}
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in ("--out", "--jsonl", "--flow", "--size",
-                   "--iterations", "--format", "--rtt"):
-            if i + 1 >= len(args):
-                raise ValueError(f"{arg} needs a value")
-            value = args[i + 1]
-            key = arg[2:]
-            opts[key] = int(value) if key in ("size", "iterations",
-                                              "rtt") else value
-            i += 2
-        elif arg.startswith("-"):
-            raise ValueError(f"unknown option {arg}")
-        elif opts["target"] is None:
-            opts["target"] = arg
-            i += 1
-        else:
-            raise ValueError(f"unexpected argument {arg}")
-    return opts
+#: ``explain`` and ``racecheck`` also take a fixed-seed lossy link.
+EXPLAIN_TARGETS = list(TRACE_TARGETS) + ["impaired"]
+RACECHECK_TARGETS = list(TRACE_TARGETS) + ["chaos"]
+NETWORKS = ("atm", "ethernet")
+FINDING_FORMATS = ("text", "json", "github")
 
 
 def _observed_run(target, size, iterations, lineage=False, flow=False):
     """Run one observed round-trip experiment; returns the observer."""
-    from repro.core.experiment import run_round_trip
     from repro.obs import Observer
 
     network, overrides = TRACE_TARGETS[target]
@@ -354,61 +294,39 @@ def _observed_run(target, size, iterations, lineage=False, flow=False):
 
 
 def cmd_trace(args) -> int:
-    """``python -m repro trace <target> --out FILE [--jsonl FILE]``."""
+    """Export one observed run as a Chrome trace (plus optional JSONL)."""
     from repro.obs import write_chrome_trace, write_jsonl
-    try:
-        opts = _parse_obs_args(args)
-    except ValueError as error:
-        print(f"trace: {error}")
-        return 2
-    target = opts["target"] or "table2"
-    if target not in TRACE_TARGETS:
-        print(f"unknown trace target {target!r}")
-        print(f"available: {' '.join(TRACE_TARGETS)}")
-        return 2
-    want_flow = bool(opts["flow"])
-    observer, result = _observed_run(target, opts["size"],
-                                     opts["iterations"],
+
+    want_flow = bool(args.flow)
+    observer, result = _observed_run(args.target, args.size,
+                                     args.iterations,
                                      lineage=want_flow, flow=want_flow)
-    out = opts["out"] or f"{target}.trace.json"
+    out = args.out or f"{args.target}.trace.json"
     n_events = write_chrome_trace(observer, out)
-    print(f"trace {target}: size={result.size} "
+    print(f"trace {args.target}: size={result.size} "
           f"mean_rtt={result.mean_rtt_us:.1f}us; "
           f"{n_events} events -> {out} "
           f"(open in chrome://tracing or ui.perfetto.dev)")
-    if opts["jsonl"]:
-        n_lines = write_jsonl(observer, opts["jsonl"])
-        print(f"{n_lines} JSONL records -> {opts['jsonl']}")
-    if opts["flow"]:
-        n_samples = observer.flow.write_jsonl(opts["flow"],
+    if args.jsonl:
+        n_lines = write_jsonl(observer, args.jsonl)
+        print(f"{n_lines} JSONL records -> {args.jsonl}")
+    if args.flow:
+        n_samples = observer.flow.write_jsonl(args.flow,
                                               measured_only=False)
-        print(f"{n_samples} flow samples -> {opts['flow']}")
+        print(f"{n_samples} flow samples -> {args.flow}")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    """``python -m repro metrics [target]`` — metrics dump (text/CSV)."""
+    """Print one observed run's metrics and spans (text or CSV)."""
     from repro.obs import metrics_csv, metrics_text
-    try:
-        opts = _parse_obs_args(args, default_size=1400)
-    except ValueError as error:
-        print(f"metrics: {error}")
-        return 2
-    target = opts["target"] or "table1"
-    if target not in TRACE_TARGETS:
-        print(f"unknown metrics target {target!r}")
-        print(f"available: {' '.join(TRACE_TARGETS)}")
-        return 2
-    if opts["format"] not in ("text", "csv"):
-        print(f"metrics: unknown format {opts['format']!r} "
-              f"(want text or csv)")
-        return 2
-    observer, result = _observed_run(target, opts["size"],
-                                     opts["iterations"])
-    if opts["format"] == "csv":
+
+    observer, result = _observed_run(args.target, args.size,
+                                     args.iterations)
+    if args.format == "csv":
         print(metrics_csv(observer))
         return 0
-    print(f"# {target}: size={result.size} "
+    print(f"# {args.target}: size={result.size} "
           f"mean_rtt={result.mean_rtt_us:.1f}us "
           f"iterations={result.iterations}")
     print(metrics_text(observer))
@@ -420,10 +338,6 @@ def _traced_target(name, size, iterations):
     from repro.obs.explain import run_traced
 
     if name == "impaired":
-        # A fixed-seed lossy ATM link: the canonical diff partner for
-        # any clean baseline target.
-        from repro.chaos import ImpairmentConfig, Impairments
-
         impairments = Impairments(ImpairmentConfig(seed=1994,
                                                    p_drop=0.15))
         return run_traced(size=size, network="atm",
@@ -436,57 +350,25 @@ def _traced_target(name, size, iterations):
 
 
 def cmd_explain(args) -> int:
-    """``python -m repro explain [target] [--rtt K] [--out FILE]`` or
-    ``python -m repro explain --diff A B [--size N] ...``."""
-    from repro.obs.explain import explain_rtt, format_diff, \
-        write_rtt_trace
+    """Render one round trip as a per-layer waterfall, or diff the
+    attribution profiles of two targets (``--diff A B``)."""
+    from repro.obs.explain import explain_rtt, format_diff, write_rtt_trace
 
-    diff_pair = None
-    rest = []
-    i = 0
-    while i < len(args):
-        if args[i] == "--diff":
-            if i + 2 >= len(args):
-                print("explain: --diff needs two target names")
-                return 2
-            diff_pair = (args[i + 1], args[i + 2])
-            i += 3
-        else:
-            rest.append(args[i])
-            i += 1
-    try:
-        opts = _parse_obs_args(rest, default_size=1400)
-    except ValueError as error:
-        print(f"explain: {error}")
-        return 2
-    known = list(TRACE_TARGETS) + ["impaired"]
-    if diff_pair is not None:
-        bad = [t for t in diff_pair if t not in known]
-        if bad:
-            print(f"unknown explain target(s): {' '.join(bad)}")
-            print(f"available: {' '.join(known)}")
-            return 2
-        run_a = _traced_target(diff_pair[0], opts["size"],
-                               opts["iterations"])
-        run_b = _traced_target(diff_pair[1], opts["size"],
-                               opts["iterations"])
+    if args.diff:
+        run_a, run_b = (_traced_target(name, args.size, args.iterations)
+                        for name in args.diff)
         print(format_diff(run_a, run_b))
         return 0
-    target = opts["target"] or "table1"
-    if target not in known:
-        print(f"unknown explain target {target!r}")
-        print(f"available: {' '.join(known)}")
-        return 2
-    run = _traced_target(target, opts["size"], opts["iterations"])
+    run = _traced_target(args.target, args.size, args.iterations)
     try:
-        explanation = explain_rtt(run, index=opts["rtt"])
+        explanation = explain_rtt(run, index=args.rtt)
     except ValueError as error:
         print(f"explain: {error}")
         return 2
     print(explanation.format())
-    if opts["out"]:
-        n_events = write_rtt_trace(explanation, opts["out"])
-        print(f"\n{n_events} trace events -> {opts['out']} "
+    if args.out:
+        n_events = write_rtt_trace(explanation, args.out)
+        print(f"\n{n_events} trace events -> {args.out} "
               f"(open in ui.perfetto.dev)")
     return 0
 
@@ -498,40 +380,6 @@ def list_targets() -> int:
     return 0
 
 
-FINDING_FORMATS = ("text", "json", "github")
-
-
-def _parse_finding_args(tool, args, extra_flags=()):
-    """Parse ``[paths...] [--format text|json|github]`` plus boolean
-    *extra_flags*; returns (paths, fmt, flags) or None on usage error."""
-    fmt = "text"
-    paths, flags = [], set()
-    i = 0
-    while i < len(args):
-        if args[i] == "--format":
-            if i + 1 >= len(args) or args[i + 1] not in FINDING_FORMATS:
-                print(f"{tool}: --format needs one of "
-                      f"{'/'.join(FINDING_FORMATS)}")
-                return None
-            fmt = args[i + 1]
-            i += 2
-        elif args[i] in extra_flags:
-            flags.add(args[i])
-            i += 1
-        elif args[i].startswith("-"):
-            print(f"{tool}: unknown option {args[i]}")
-            return None
-        else:
-            paths.append(args[i])
-            i += 1
-    if not paths:
-        import os
-
-        import repro
-        paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    return paths, fmt, flags
-
-
 def _render_findings(tool, findings, fmt, paths) -> int:
     """Print *findings* in *fmt*; exit status 1 on any error finding.
 
@@ -539,8 +387,6 @@ def _render_findings(tool, findings, fmt, paths) -> int:
     sanitize; ``github`` emits workflow annotation commands so CI runs
     mark up the diff."""
     import json
-
-    from repro.analysis import Severity
 
     if fmt == "json":
         print(json.dumps([f.as_dict() for f in findings], indent=2))
@@ -560,148 +406,58 @@ def _render_findings(tool, findings, fmt, paths) -> int:
 
 
 def cmd_lint(args) -> int:
-    """``python -m repro lint [paths...] [--format text|json|github]``."""
-    from repro.analysis import lint_paths, rule_catalog
-
-    if "--rules" in args:
+    """Run the AST determinism/layering linter over *paths*."""
+    if args.rules:
         print(rule_catalog())
         return 0
-    parsed = _parse_finding_args("lint", args)
-    if parsed is None:
-        return 2
-    paths, fmt, _ = parsed
-    return _render_findings("lint", lint_paths(paths), fmt, paths)
+    return _render_findings("lint", lint_paths(args.paths), args.format,
+                            args.paths)
 
 
 def cmd_sanitize(args) -> int:
-    """``python -m repro sanitize [paths...] [--format text|json|github]
-    [--table] [--no-statemachine]``.
-
-    Static half of the sanitizer: the mbuf ownership dataflow analysis
-    over *paths* plus the TCP state-machine exhaustiveness diff against
-    the declared RFC 793 spec.  (The runtime half is enabled with
-    ``REPRO_SANITIZE=1``.)  ``--table`` prints the extracted transition
-    table instead of checking."""
-    from repro.analysis import (
-        analyze_paths,
-        check_state_machine,
-        format_transition_table,
-        ownership_rule_catalog,
-    )
-
-    if "--rules" in args:
+    """Static half of the sanitizer (the runtime half is
+    ``REPRO_SANITIZE=1``): mbuf ownership dataflow over *paths* plus the
+    TCP state-machine diff against the declared RFC 793 spec."""
+    if args.rules:
         print(ownership_rule_catalog())
         return 0
-    parsed = _parse_finding_args("sanitize", args,
-                                 extra_flags=("--table",
-                                              "--no-statemachine"))
-    if parsed is None:
-        return 2
-    paths, fmt, flags = parsed
-    if "--table" in flags:
+    if args.table:
         print(format_transition_table())
         return 0
-    findings = list(analyze_paths(paths))
-    if "--no-statemachine" not in flags:
+    findings = list(analyze_paths(args.paths))
+    if args.statemachine:
         findings.extend(check_state_machine())
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return _render_findings("sanitize", findings, fmt, paths)
+    return _render_findings("sanitize", findings, args.format,
+                            args.paths)
 
 
 def cmd_racecheck(args) -> int:
-    """``python -m repro racecheck [target] [--size N] ...``."""
-    from repro.analysis import DEFAULT_PERTURBATIONS, racecheck_round_trip
-
-    tiebreaks = list(DEFAULT_PERTURBATIONS)
-    rest = []
-    i = 0
-    while i < len(args):
-        if args[i] == "--tiebreaks":
-            if i + 1 >= len(args):
-                print("racecheck: --tiebreaks needs a value")
-                return 2
-            tiebreaks = [t.strip() for t in args[i + 1].split(",")
-                         if t.strip()]
-            i += 2
-        else:
-            rest.append(args[i])
-            i += 1
-    try:
-        opts = _parse_obs_args(rest, default_size=1400, default_iters=4)
-    except ValueError as error:
-        print(f"racecheck: {error}")
-        return 2
-    target = opts["target"] or "table1"
-    if target == "chaos":
+    """Re-run a target under perturbed same-timestamp event orderings
+    and diff everything observable against the FIFO baseline."""
+    if args.target == "chaos":
         # The impaired workload: same determinism bar, faults injected.
-        from repro.chaos import racecheck_chaos
-
-        report = racecheck_chaos(size=opts["size"],
-                                 iterations=opts["iterations"],
-                                 perturbations=tiebreaks)
-        print(report.format())
-        return 0 if report.ok else 1
-    if target not in TRACE_TARGETS:
-        print(f"unknown racecheck target {target!r}")
-        print(f"available: {' '.join(TRACE_TARGETS)} chaos")
-        return 2
-    network, overrides = TRACE_TARGETS[target]
-    config = KernelConfig(**overrides) if overrides else None
-    report = racecheck_round_trip(
-        target, network=network, config=config, size=opts["size"],
-        iterations=opts["iterations"], perturbations=tiebreaks)
+        report = racecheck_chaos(size=args.size,
+                                 iterations=args.iterations,
+                                 perturbations=args.tiebreaks)
+    else:
+        network, overrides = TRACE_TARGETS[args.target]
+        config = KernelConfig(**overrides) if overrides else None
+        report = racecheck_round_trip(
+            args.target, network=network, config=config, size=args.size,
+            iterations=args.iterations, perturbations=args.tiebreaks)
     print(report.format())
     return 0 if report.ok else 1
 
 
 def cmd_chaos(args) -> int:
-    """``python -m repro chaos [--quick] [--seed N] [--network NET]
-    [--losses 0,0.01,..] [--sizes 200,1400,..] [--iterations N]``."""
-    from repro.chaos import (
-        DEFAULT_LOSSES,
-        DEFAULT_SIZES,
-        format_loss_sweep,
-        run_loss_sweep,
-    )
-
-    seed, network = 1994, "atm"
-    losses, sizes = list(DEFAULT_LOSSES), list(DEFAULT_SIZES)
-    iterations, quick = 24, False
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in ("--seed", "--network", "--losses", "--sizes",
-                   "--iterations"):
-            if i + 1 >= len(args):
-                print(f"chaos: {arg} needs a value")
-                return 2
-            value = args[i + 1]
-            try:
-                if arg == "--seed":
-                    seed = int(value)
-                elif arg == "--network":
-                    network = value
-                elif arg == "--losses":
-                    losses = [float(x) for x in value.split(",") if x]
-                elif arg == "--sizes":
-                    sizes = [int(x) for x in value.split(",") if x]
-                else:
-                    iterations = int(value)
-            except ValueError:
-                print(f"chaos: bad value for {arg}: {value!r}")
-                return 2
-            i += 2
-        elif arg == "--quick":
-            quick = True
-            i += 1
-        else:
-            print(f"chaos: unknown argument {arg}")
-            return 2
-    if quick:
+    """Seeded loss sweep; exits 1 if any cell breaks an invariant."""
+    losses, sizes, iterations = args.losses, args.sizes, args.iterations
+    if args.quick:
         # Smoke configuration for CI: one clean and one lossy column.
         losses, sizes, iterations = [0.0, 0.02], [1400], 12
-    results = run_loss_sweep(losses=losses, sizes=sizes, seed=seed,
-                             network=network, iterations=iterations,
+    results = run_loss_sweep(losses=losses, sizes=sizes, seed=args.seed,
+                             network=args.network, iterations=iterations,
                              warmup=2)
     print(format_loss_sweep(results))
     bad = sum(1 for r in results if not r.ok)
@@ -710,68 +466,15 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    """``python -m repro fuzz [--seeds N] [--packets N] [--budget SECS]
-    [--replay CASE|DIR] [--save DIR] [--network NET] [--seed N]
-    [--format text|json|github]``.
-
-    Without ``--replay``: run a fixed-seed mutation campaign and
-    report deduplicated, ddmin-minimized failures through the shared
-    finding pipeline.  With ``--replay``: re-run one committed corpus
-    case (or every ``*.json`` in a directory) against the current
-    stack and fail if any no longer recovers or skips its expected
-    drop accounting.
-    """
+    """Run a fixed-seed mutation campaign and report its minimized
+    failures as findings, or (``--replay``) re-run committed corpus
+    cases and fail if any no longer recovers or drops as recorded."""
     import glob
-    import os
 
-    from repro.analysis.findings import Finding, Severity
-    from repro.chaos.triage import (campaign_findings, replay_case,
-                                    run_fuzz_campaign)
-
-    seeds, packets, budget = 8, 2000, None
-    base_seed, network = 1994, "atm"
-    replay, save_dir, fmt = None, None, "text"
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in ("--seeds", "--packets", "--budget", "--replay",
-                   "--save", "--network", "--seed", "--format"):
-            if i + 1 >= len(args):
-                print(f"fuzz: {arg} needs a value")
-                return 2
-            value = args[i + 1]
-            try:
-                if arg == "--seeds":
-                    seeds = int(value)
-                elif arg == "--packets":
-                    packets = int(value)
-                elif arg == "--budget":
-                    budget = float(value)
-                elif arg == "--replay":
-                    replay = value
-                elif arg == "--save":
-                    save_dir = value
-                elif arg == "--network":
-                    network = value
-                elif arg == "--seed":
-                    base_seed = int(value)
-                elif value in FINDING_FORMATS:
-                    fmt = value
-                else:
-                    print(f"fuzz: --format must be one of "
-                          f"{'/'.join(FINDING_FORMATS)}")
-                    return 2
-            except ValueError:
-                print(f"fuzz: bad value for {arg}: {value!r}")
-                return 2
-            i += 2
-        else:
-            print(f"fuzz: unknown argument {arg}")
-            return 2
-
-    if replay is not None:
-        cases = (sorted(glob.glob(os.path.join(replay, "*.json")))
-                 if os.path.isdir(replay) else [replay])
+    fmt = args.format
+    if args.replay is not None:
+        cases = (sorted(glob.glob(os.path.join(args.replay, "*.json")))
+                 if os.path.isdir(args.replay) else [args.replay])
         findings = []
         for path in cases:
             cell = replay_case(path)
@@ -787,78 +490,245 @@ def cmd_fuzz(args) -> int:
         return _render_findings("fuzz", findings, fmt, cases)
 
     log = print if fmt == "text" else (lambda _msg: None)
-    campaign = run_fuzz_campaign(seeds=seeds, packets=packets,
-                                 network=network, base_seed=base_seed,
-                                 budget_secs=budget, log=log)
+    campaign = run_fuzz_campaign(seeds=args.seeds, packets=args.packets,
+                                 network=args.network, base_seed=args.seed,
+                                 budget_secs=args.budget, log=log)
     if fmt == "text":
         print(f"fuzz: {campaign.cells} cell(s), "
               f"{campaign.mutated_packets} mutated packets "
               f"({campaign.packets_seen} seen), "
               f"{len(campaign.failures)} unique failure(s)")
-    if save_dir is not None and campaign.failures:
-        from repro.chaos.triage import save_case
+    if args.save is not None and campaign.failures:
         for failure in campaign.failures:
-            path = save_case(failure, save_dir)
+            path = save_case(failure, args.save)
             if fmt == "text":
                 print(f"fuzz: saved reproducer {path}")
     return _render_findings(
-        "fuzz", campaign_findings(campaign, corpus_dir=save_dir),
-        fmt, [f"campaign seed={base_seed} seeds={seeds}"])
+        "fuzz", campaign_findings(campaign, corpus_dir=args.save),
+        fmt, [f"campaign seed={args.seed} seeds={args.seeds}"])
 
 
-#: Subcommand word -> handler taking the remaining arguments.
+#: Subcommand word -> handler taking the parsed arguments.
 COMMANDS = {
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
-    "explain": cmd_explain,
-    "lint": cmd_lint,
-    "sanitize": cmd_sanitize,
-    "racecheck": cmd_racecheck,
-    "chaos": cmd_chaos,
-    "fuzz": cmd_fuzz,
+    "trace": cmd_trace, "metrics": cmd_metrics, "explain": cmd_explain,
+    "lint": cmd_lint, "sanitize": cmd_sanitize, "racecheck": cmd_racecheck,
+    "chaos": cmd_chaos, "fuzz": cmd_fuzz,
 }
 
+_DEFAULT_HELP = "default: %(default)s"
 
-def _extract_sweep_flags(args):
-    """Strip global ``--parallel N`` / ``--no-cache`` out of *args*."""
-    rest = []
-    parallel, use_cache = 0, True
-    i = 0
-    while i < len(args):
-        if args[i] == "--parallel":
-            if i + 1 >= len(args):
-                raise ValueError("--parallel needs a worker count")
-            parallel = int(args[i + 1])
-            i += 2
-        elif args[i] == "--no-cache":
-            use_cache = False
-            i += 1
-        else:
-            rest.append(args[i])
-            i += 1
-    return rest, parallel, use_cache
+#: The unadvertised subparser for section mode; :func:`main` routes
+#: every command line that names no command through it.
+SECTION_MODE = "sections"
+
+
+# Argument types: each turns a bad value into a one-line usage error.
+def _one_of(kind, names):
+    def name(word):
+        if word not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {word!r} (available: {' '.join(names)})")
+        return word
+    return name
+
+
+def _at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
+
+
+def _probability(text):
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
+def _csv_of(item):
+    """A comma-separated list of *item* values (empty items dropped)."""
+    def csv(text):
+        return [item(word) for word in text.split(",") if word]
+    return csv
+
+
+def _tiebreaks(text):
+    """Tie-break policies, each checked by the engine's own resolver."""
+    policies = [word.strip() for word in text.split(",") if word.strip()]
+    if not policies:
+        raise argparse.ArgumentTypeError("no tie-break policy given")
+    for policy in policies:
+        try:
+            tiebreak_keyfn(policy)
+        except SchedulingError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+    return policies
+
+
+def _existing_path(text):
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"no such path: {text!r}")
+    return text
+
+
+def _run_options(kind, names, target, size):
+    """Parent parser for the commands that run one round-trip test."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("target", nargs="?", default=target,
+                     type=_one_of(f"{kind} target", names),
+                     help=f"one of: {' '.join(names)} (default: {target})")
+    run.add_argument("--size", type=_at_least(1), default=size, metavar="N",
+                     help=_DEFAULT_HELP)
+    run.add_argument("--iterations", type=_at_least(1), default=4,
+                     metavar="N", help=_DEFAULT_HELP)
+    return run
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``python -m repro`` command line."""
+    # Global flags go before or after the command word; SUPPRESS keeps a
+    # subparser from resetting one given before it (main holds defaults).
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--list", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="print every section and trace target")
+    flags.add_argument("--parallel", type=_at_least(0), metavar="N",
+                       default=argparse.SUPPRESS,
+                       help="fan sweep cells out over N worker processes "
+                            "(0: run in process)")
+    flags.add_argument("--no-cache", dest="use_cache", action="store_false",
+                       default=argparse.SUPPRESS,
+                       help="bypass the on-disk sweep result cache")
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=FINDING_FORMATS, default="text",
+                         help="github emits CI workflow annotations")
+    findings = argparse.ArgumentParser(add_help=False, parents=[formats])
+    package = os.path.dirname(os.path.abspath(__file__))
+    findings.add_argument("paths", nargs="*", type=_existing_path,
+                          default=[package],
+                          help="default: the installed repro package")
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro", parents=[flags],
+        usage="%(prog)s [--list] [--parallel N] [--no-cache] [section ...]"
+              "\n       %(prog)s <command> [options]",
+        description="Regenerate the paper's tables and figures next to "
+                    "the published values (every section when none is "
+                    f"named; sections: {' '.join(SECTIONS)}), or run "
+                    "one of the commands below.",
+        epilog="Run '%(prog)s <command> --help' for a command's options.")
+    commands = parser.add_subparsers(dest="command", metavar="<command>",
+                                     title="commands", prog=parser.prog)
+    sections = commands.add_parser(SECTION_MODE, parents=[flags],
+                                   prog=parser.prog)
+    sections.add_argument("sections", nargs="*", metavar="section",
+                          type=_one_of("section", list(SECTIONS)),
+                          default=list(SECTIONS),
+                          help=f"any of: {' '.join(SECTIONS)} (default: all)")
+
+    def command(name, summary, *parents):
+        return commands.add_parser(name, help=summary, description=summary,
+                                   parents=[flags, *parents])
+
+    trace = command("trace", "export one observed run as a Chrome trace "
+                    "(open it in ui.perfetto.dev)", _run_options(
+                        "trace", list(TRACE_TARGETS), "table2", 8000))
+    trace.add_argument("--out", metavar="FILE",
+                       help="default: <target>.trace.json")
+    trace.add_argument("--jsonl", metavar="FILE",
+                       help="also write the JSONL event stream")
+    trace.add_argument("--flow", metavar="FILE",
+                       help="also write per-connection flow telemetry "
+                            "(turns on causal lineage)")
+
+    metrics = command("metrics", "print one observed run's metrics and "
+                      "spans", _run_options("metrics", list(TRACE_TARGETS),
+                                            "table1", 1400))
+    metrics.add_argument("--format", choices=("text", "csv"),
+                         default="text")
+
+    explain = command("explain", "render one round trip as a per-layer "
+                      "waterfall that sums to the measured RTT",
+                      _run_options("explain", EXPLAIN_TARGETS, "table1",
+                                   1400))
+    explain.add_argument("--rtt", type=int, default=0, metavar="K",
+                         help="which measured round trip (default: 0)")
+    explain.add_argument("--out", metavar="FILE",
+                         help="also write that RTT as a Chrome trace")
+    explain.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                         type=_one_of("explain target", EXPLAIN_TARGETS),
+                         help="name the layer that separates two targets")
+
+    lint = command("lint", "AST determinism and layering linter", findings)
+    lint.add_argument("--rules", action="store_true",
+                      help="print the rule catalog")
+
+    sanitize = command("sanitize", "static mbuf-ownership dataflow and TCP "
+                       "state-machine checks", findings)
+    sanitize.add_argument("--rules", action="store_true",
+                          help="print the ownership rule catalog")
+    sanitize.add_argument("--table", action="store_true",
+                          help="print the extracted TCP transition table")
+    sanitize.add_argument("--no-statemachine", dest="statemachine",
+                          action="store_false",
+                          help="skip the state-machine diff")
+
+    racecheck = command("racecheck", "re-run a target under perturbed "
+                        "same-timestamp event orders", _run_options(
+                            "racecheck", RACECHECK_TARGETS, "table1", 1400))
+    racecheck.add_argument(
+        "--tiebreaks", type=_tiebreaks, metavar="CSV",
+        default=list(DEFAULT_PERTURBATIONS),
+        help="fifo, lifo or shuffle:<seed> (default: %s)"
+             % ",".join(DEFAULT_PERTURBATIONS))
+
+    chaos = command("chaos", "seeded loss sweep with recovery invariants")
+    chaos.add_argument("--quick", action="store_true",
+                       help="CI smoke: losses 0,0.02, size 1400, "
+                            "12 iterations")
+    chaos.add_argument("--seed", type=int, default=1994, help=_DEFAULT_HELP)
+    chaos.add_argument("--network", choices=NETWORKS, default="atm")
+    chaos.add_argument("--losses", type=_csv_of(_probability), metavar="CSV",
+                       default=list(DEFAULT_LOSSES), help=_DEFAULT_HELP)
+    chaos.add_argument("--sizes", type=_csv_of(_at_least(1)), metavar="CSV",
+                       default=list(DEFAULT_SIZES), help=_DEFAULT_HELP)
+    chaos.add_argument("--iterations", type=_at_least(1), default=24,
+                       metavar="N", help=_DEFAULT_HELP)
+
+    fuzz = command("fuzz", "deterministic protocol fuzzing, or --replay of "
+                   "committed reproducers", formats)
+    fuzz.add_argument("--seeds", type=int, default=8, help=_DEFAULT_HELP)
+    fuzz.add_argument("--packets", type=int, default=2000, help=_DEFAULT_HELP)
+    fuzz.add_argument("--budget", type=float, metavar="SECS")
+    fuzz.add_argument("--replay", type=_existing_path, metavar="PATH",
+                      help="a corpus case, or a directory of them")
+    fuzz.add_argument("--save", metavar="DIR",
+                      help="write minimized reproducers here")
+    fuzz.add_argument("--network", choices=NETWORKS, default="atm")
+    fuzz.add_argument("--seed", type=int, default=1994, help=_DEFAULT_HELP)
+    return parser
 
 
 def main(argv) -> int:
+    words = list(argv[1:])
+    if not COMMANDS.keys() & set(words) and words[:1] not in (["-h"],
+                                                            ["--help"]):
+        words.insert(0, SECTION_MODE)
     try:
-        args, parallel, use_cache = _extract_sweep_flags(list(argv[1:]))
-    except ValueError as error:
-        print(f"repro: {error}")
-        return 2
-    SWEEP_OPTIONS.parallel = parallel
-    SWEEP_OPTIONS.use_cache = use_cache
-    if "--list" in args:
+        args = build_parser().parse_args(words, argparse.Namespace(
+            list=False, parallel=0, use_cache=True))
+    except SystemExit as exit_:  # usage error (2) or --help (0)
+        return exit_.code
+    SWEEP_OPTIONS.parallel = args.parallel
+    SWEEP_OPTIONS.use_cache = args.use_cache
+    if args.list:
         return list_targets()
-    if args and args[0] in COMMANDS:
-        return COMMANDS[args[0]](args[1:])
-    names = args or list(SECTIONS)
-    unknown = [n for n in names if n not in SECTIONS]
-    if unknown:
-        print(f"unknown section(s): {', '.join(unknown)}")
-        print(f"available: {' '.join(SECTIONS)} {' '.join(COMMANDS)} "
-              f"--list [--parallel N] [--no-cache]")
-        return 2
-    for i, name in enumerate(names):
+    if args.command in COMMANDS:
+        return COMMANDS[args.command](args)
+    for i, name in enumerate(args.sections):
         if i:
             print()
         # Elapsed wall time for the regeneration banner only: monotonic

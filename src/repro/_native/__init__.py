@@ -19,7 +19,6 @@ from repro._native._corec import (  # noqa: F401
     chunk_sizes,
     combine,
     crc10,
-    crc32,
     engine_install,
     internet_checksum,
     mbuf_install,

@@ -1369,20 +1369,17 @@ fail:
 }
 
 /* ---------------------------------------------------------------- */
-/* CRC-10 (ITU I.363 AAL3/4) and CRC-32 (IEEE 802.3)                 */
+/* CRC-10 (ITU I.363 AAL3/4); CRC-32 is zlib's                      */
 /* ---------------------------------------------------------------- */
 
 #define CRC10_POLY 0x233
-#define CRC32_POLY 0xEDB88320UL
 
 static unsigned short crc10_table[256];
-static unsigned long crc32_table[256];
 
 static void
-build_crc_tables(void)
+build_crc10_table(void)
 {
     unsigned int byte, bit, crc;
-    unsigned long crc32v;
 
     for (byte = 0; byte < 256; byte++) {
         crc = byte << 2;
@@ -1393,16 +1390,6 @@ build_crc_tables(void)
                 crc = (crc << 1) & 0x3FF;
         }
         crc10_table[byte] = (unsigned short)crc;
-    }
-    for (byte = 0; byte < 256; byte++) {
-        crc32v = byte;
-        for (bit = 0; bit < 8; bit++) {
-            if (crc32v & 1)
-                crc32v = (crc32v >> 1) ^ CRC32_POLY;
-            else
-                crc32v >>= 1;
-        }
-        crc32_table[byte] = crc32v & 0xFFFFFFFFUL;
     }
 }
 
@@ -1440,35 +1427,6 @@ mod_crc10(PyObject *Py_UNUSED(module), PyObject *const *args,
                     (unsigned int)(initial & 0x3FF));
     PyBuffer_Release(&buf);
     return PyLong_FromUnsignedLong(crc);
-}
-
-static PyObject *
-mod_crc32(PyObject *Py_UNUSED(module), PyObject *const *args,
-          Py_ssize_t nargs, PyObject *kwnames)
-{
-    Py_buffer buf;
-    PyObject *data, *initial_obj;
-    long long initial = 0;
-    unsigned long crc;
-    const unsigned char *p;
-    Py_ssize_t i;
-
-    if (parse_data_initial(args, nargs, kwnames, "crc32", &data,
-                           &initial_obj) < 0)
-        return NULL;
-    if (initial_obj != NULL) {
-        initial = PyLong_AsLongLong(initial_obj);
-        if (initial == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    if (PyObject_GetBuffer(data, &buf, PyBUF_SIMPLE) < 0)
-        return NULL;
-    crc = ((unsigned long)initial ^ 0xFFFFFFFFUL) & 0xFFFFFFFFUL;
-    p = (const unsigned char *)buf.buf;
-    for (i = 0; i < buf.len; i++)
-        crc = (crc >> 8) ^ crc32_table[(crc ^ p[i]) & 0xFF];
-    PyBuffer_Release(&buf);
-    return PyLong_FromUnsignedLong((crc ^ 0xFFFFFFFFUL) & 0xFFFFFFFFUL);
 }
 
 /* ---------------------------------------------------------------- */
@@ -2073,8 +2031,6 @@ static PyMethodDef corec_methods[] = {
      "Combine (raw_sum, byte_length) chunk sums into one raw sum."},
     {"crc10", (PyCFunction)(void (*)(void))mod_crc10,
      METH_FASTCALL | METH_KEYWORDS, "crc10(data, initial=0) -> int"},
-    {"crc32", (PyCFunction)(void (*)(void))mod_crc32,
-     METH_FASTCALL | METH_KEYWORDS, "crc32(data, initial=0) -> int"},
     {"aal_segment", mod_aal_segment, METH_O,
      "Wrap a PDU in CPCS framing and split into SAR cells."},
     {"aal_reassemble", mod_aal_reassemble, METH_O,
@@ -2114,7 +2070,7 @@ PyInit__corec(void)
         return NULL;
     if (PyType_Ready(&CoreType) < 0)
         return NULL;
-    build_crc_tables();
+    build_crc10_table();
 
     g_empty_tuple = PyTuple_New(0);
     g_zero = PyLong_FromLong(0);

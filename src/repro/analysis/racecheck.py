@@ -145,6 +145,10 @@ def check_scenario(make_digest: Callable[[Optional[str]], RunDigest],
     *make_digest* receives a tie-break policy string (None for the
     baseline) and must build a **fresh** simulation for each call.
     """
+    if not perturbations:
+        # With nothing to compare against, the check would pass vacuously.
+        raise ValueError("racecheck needs at least one tie-break "
+                         "perturbation")
     baseline = make_digest(None)
     baseline.tiebreak = "fifo"
     runs: List[RunDigest] = []

@@ -4,24 +4,22 @@
   x^5 + x^4 + x + 1).
 * CRC-32 (IEEE 802.3) is the Ethernet frame check sequence.
 
-Both are table-driven, byte-at-a-time implementations — real checks over
-real bytes, so injected bit errors are caught (or not) exactly as the
-hardware would catch them.
+Both are real checks over real bytes, so injected bit errors are caught
+(or not) exactly as the hardware would catch them.  CRC-10 is a
+table-driven, byte-at-a-time implementation; CRC-32 is :func:`zlib.crc32`.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import List, Union
 
-__all__ = ["crc10", "crc10_check", "crc32", "CRC10_POLY", "CRC32_POLY"]
+__all__ = ["crc10", "crc10_check", "crc32", "CRC10_POLY"]
 
 Buffer = Union[bytes, bytearray, memoryview]
 
 #: CRC-10 generator polynomial (I.363 AAL3/4), excluding the x^10 term.
 CRC10_POLY = 0x233
-
-#: CRC-32 (IEEE 802.3) reflected polynomial.
-CRC32_POLY = 0xEDB88320
 
 
 def _build_crc10_table() -> List[int]:
@@ -53,41 +51,20 @@ def crc10_check(data: Buffer, expected: int) -> bool:
     return crc10(data) == (expected & 0x3FF)
 
 
-def _build_crc32_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ CRC32_POLY
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
-_CRC32_TABLE = _build_crc32_table()
-
-
 def crc32(data: Buffer, initial: int = 0) -> int:
-    """IEEE 802.3 CRC-32 over *data* (reflected, pre/post-inverted)."""
-    crc = initial ^ 0xFFFFFFFF
-    for byte in bytes(data):
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    """IEEE 802.3 CRC-32 over *data*, continuing from *initial*."""
+    return zlib.crc32(data, initial)
 
 
 # ----------------------------------------------------------------------
-# Optional compiled path (repro._native._corec); the pure definitions
-# stay importable as _*_py for the equivalence tests.  crc10_check and
-# every importer (repro.atm.aal's per-cell CRC) resolve the rebound
-# module globals, so they ride the native path automatically.
+# Optional compiled CRC-10 (repro._native._corec); the pure definition
+# stays importable as _crc10_py for the equivalence tests.  crc10_check
+# and every importer (repro.atm.aal's per-cell CRC) resolve the rebound
+# module global, so they ride the native path automatically.
 # ----------------------------------------------------------------------
 
 import repro.perf.native as _native_dispatch
 
 if _native_dispatch.lib is not None:
     _crc10_py = crc10
-    _crc32_py = crc32
     crc10 = _native_dispatch.lib.crc10
-    crc32 = _native_dispatch.lib.crc32

@@ -123,6 +123,15 @@ def test_racecheck_passes_ordering_insensitive_program():
     assert "OK" in report.format()
 
 
+def test_racecheck_rejects_empty_perturbation_set():
+    # Comparing the baseline against nothing must not report "OK".
+    calls = []
+    with pytest.raises(ValueError, match="at least one"):
+        check_scenario(lambda tiebreak: calls.append(tiebreak),
+                       target="toy", perturbations=())
+    assert calls == []
+
+
 def test_compare_digests_reports_first_divergence():
     a = RunDigest(tiebreak="fifo", lines=["x", "y"], samples=[1.0])
     b = RunDigest(tiebreak="lifo", lines=["x", "z"], samples=[2.0])

@@ -56,6 +56,10 @@ class TestCRC32:
         # The classic "123456789" check value for CRC-32/IEEE.
         assert crc32(b"123456789") == 0xCBF43926
 
+    def test_accepts_every_buffer_type(self):
+        for buf in (bytearray(b"123456789"), memoryview(b"123456789")):
+            assert crc32(buf) == 0xCBF43926
+
     def test_detects_burst_error(self):
         frame = bytes(range(64)) * 4
         good = crc32(frame)

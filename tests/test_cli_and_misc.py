@@ -1,19 +1,49 @@
 """CLI smoke tests and odds-and-ends coverage."""
 
+import argparse
+
 import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import COMMANDS, SECTIONS, main
 from repro.hw.costs import LinearCost, decstation_5000_200
 from repro.kern.config import ChecksumMode, KernelConfig, PcbLookup
+from repro.perf.runner import SweepOptions
+
+
+def _subcommands():
+    """The command words the parser offers (section mode excluded)."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return [name for name in action.choices if name != cli.SECTION_MODE]
+
+
+#: Command lines that must be usage errors (exit 2), never a crash or
+#: a silent pass.
+BAD_ARGV = [
+    ["chaos", "--network", "foo"],
+    ["fuzz", "--network", "foo"],
+    ["racecheck", "--tiebreaks", "bogus"],
+    ["racecheck", "--tiebreaks", ","],
+    ["racecheck", "chaos", "--tiebreaks", ","],
+    ["trace", "table2", "--size", "-5"],
+    ["metrics", "--iterations", "0"],
+    ["chaos", "--losses", "1.5"],
+    ["fuzz", "--replay", "/nonexistent/corpus"],
+    ["lint", "/nonexistent/src"],
+    ["sanitize", "/nonexistent/src"],
+    ["--parallel", "-3"],
+    ["table1", "--parallel", "-3"],
+    ["trace", "--bogus-flag"],
+]
 
 
 class TestCLI:
     def test_unknown_section_rejected(self, capsys):
         assert main(["repro", "nonsense"]) == 2
-        out = capsys.readouterr().out
-        assert "unknown section" in out
-        assert "table1" in out
+        err = capsys.readouterr().err
+        assert "unknown section" in err
+        assert "table1" in err
 
     def test_fast_sections_run(self, capsys):
         assert main(["repro", "pcb", "mbuf", "sun3"]) == 0
@@ -36,28 +66,44 @@ class TestCLI:
 
     def test_bench_subcommand_is_gone(self, capsys):
         assert main(["repro", "bench"]) == 2
-        assert "unknown section" in capsys.readouterr().out
+        assert "unknown section" in capsys.readouterr().err
 
     def test_every_usage_word_dispatches(self, capsys, monkeypatch):
-        assert main(["repro", "nonsense"]) == 2
-        usage = next(line for line in capsys.readouterr().out.splitlines()
-                     if line.startswith("available:"))
-        words = [w for w in usage.split()[1:]
-                 if "[" not in w and "]" not in w]
-        assert "table1" in words and "trace" in words and "--list" in words
+        words = _subcommands()
+        assert set(words) == set(COMMANDS)
+        assert main(["repro", "--help"]) == 0
+        usage = capsys.readouterr().out
         monkeypatch.setattr(cli, "list_targets", lambda: 41)
+        assert main(["repro", "--list"]) == 41
         for word in words:
-            if word in SECTIONS:
-                continue
-            if word == "--list":
-                assert main(["repro", word]) == 41
-                continue
-            assert word in COMMANDS, f"usage word {word!r} does not dispatch"
+            assert word in usage, f"command {word!r} is not advertised"
             seen = []
             monkeypatch.setitem(COMMANDS, word,
-                                lambda rest: seen.append(rest) or 42)
-            assert main(["repro", word, "x"]) == 42
-            assert seen == [["x"]]
+                                lambda args: seen.append(args.command) or 42)
+            assert main(["repro", word]) == 42
+            assert seen == [word]
+
+    def test_help_exits_zero_everywhere(self, capsys):
+        for command in [[]] + [[word] for word in _subcommands()]:
+            assert main(["repro", *command, "--help"]) == 0, command
+            assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        assert main(["repro", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "error:" in captured.err
+
+    def test_global_flags_before_and_after_the_command(self, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_OPTIONS", SweepOptions())
+        seen = []
+        monkeypatch.setitem(COMMANDS, "lint",
+                            lambda args: seen.append(args) or 0)
+        assert main(["repro", "--parallel", "3", "lint", "--no-cache"]) == 0
+        assert (seen[0].parallel, seen[0].use_cache) == (3, False)
+        assert (cli.SWEEP_OPTIONS.parallel,
+                cli.SWEEP_OPTIONS.use_cache) == (3, False)
 
 
 class TestKernelConfig:

@@ -415,4 +415,4 @@ class TestObservabilityCLI:
     def test_unknown_trace_target(self, capsys):
         from repro.__main__ import main
         assert main(["repro", "trace", "bogus"]) == 2
-        assert "unknown trace target" in capsys.readouterr().out
+        assert "unknown trace target" in capsys.readouterr().err
