@@ -32,7 +32,43 @@ from repro.sim.cpu import Priority
 from repro.sim.engine import us
 from repro.sim.resources import Semaphore
 
-__all__ = ["AtmLink", "ForeTca100", "AtmStats"]
+__all__ = ["AtmLink", "ForeTca100", "AtmStats", "tx_fifo_schedule"]
+
+
+def tx_fifo_schedule(n: int, t0: int, wire_gate: int, write_ns: int,
+                     cell_ns: int, depth: int) -> Tuple[int, int, int, int]:
+    """The driver's write / wire drain schedule for *n* >= 1 cells.
+
+    The driver starts writing at *t0* and needs *write_ns* per cell; the
+    write of cell *k* also waits until cell *k - depth* has left the
+    wire.  The wire clocks a cell out in *cell_ns*, no earlier than
+    *wire_gate*, once the cell is written and the previous one is out.
+
+    Returns ``(write_done_last, first_depart, last_depart,
+    max_occupancy)``: when the driver writes the last cell, when the
+    first and last cells finish clocking out, and the most cells ever
+    held in the FIFO.  Write and departure times both strictly increase
+    (``write_ns`` and ``cell_ns`` are at least 1 ns), so the count of
+    departed cells is a pointer that only moves forward: one pass.
+    """
+    depart: List[int] = []
+    write = t0
+    last = wire_gate
+    departed = 0
+    max_occupancy = 0
+    for k in range(n):
+        write += write_ns
+        if k >= depth and depart[k - depth] > write:
+            write = depart[k - depth]
+        last = (write if write > last else last) + cell_ns
+        depart.append(last)
+        # depart[k] > write, so the pointer stops at or before cell k.
+        while depart[departed] <= write:
+            departed += 1
+        occupancy = k + 1 - departed
+        if occupancy > max_occupancy:
+            max_occupancy = occupancy
+    return write, depart[0], last, max_occupancy
 
 
 class AtmStats:
@@ -130,28 +166,13 @@ class ForeTca100:
                         + us(costs.atm_tx_per_mbuf_us) * packet.mbuf_count)
         per_cell_write_ns = max(1, base_cost_ns // n)
 
-        # FIFO-backpressured write/drain schedule (all relative to now).
         t0 = sim.now
-        wire_gate = max(t0, self._wire_free_at)
-        write_done: List[int] = [0] * (n + 1)   # W[k], 1-based
-        depart: List[int] = [0] * (n + 1)       # E[k]
-        prev_depart = wire_gate
-        max_occupancy = 0
-        for k in range(1, n + 1):
-            earliest = (write_done[k - 1] if k > 1 else t0) \
-                + per_cell_write_ns
-            if k > self.TX_FIFO_CELLS:
-                earliest = max(earliest, depart[k - self.TX_FIFO_CELLS])
-            write_done[k] = earliest
-            start_tx = max(write_done[k], prev_depart)
-            depart[k] = start_tx + link.cell_time_ns
-            prev_depart = depart[k]
-            in_fifo = k - sum(1 for j in range(1, k)
-                              if depart[j] <= write_done[k])
-            if in_fifo > max_occupancy:
-                max_occupancy = in_fifo
+        write_done, first_depart, last_depart, max_occupancy = \
+            tx_fifo_schedule(n, t0, max(t0, self._wire_free_at),
+                             per_cell_write_ns, link.cell_time_ns,
+                             self.TX_FIFO_CELLS)
 
-        driver_busy_ns = write_done[n] - t0
+        driver_busy_ns = write_done - t0
         stall_ns = driver_busy_ns - base_cost_ns
         if stall_ns > 0:
             self.stats.tx_stall_ns += stall_ns
@@ -168,7 +189,7 @@ class ForeTca100:
         # delay after it finishes clocking out.  Under CPU preemption the
         # actual copy may have finished later than the analytic schedule;
         # never deliver before the copy is done.
-        analytic_last_arrival = depart[n] + link.prop_delay_ns
+        analytic_last_arrival = last_depart + link.prop_delay_ns
         last_arrival = max(analytic_last_arrival,
                            sim.now + link.cell_time_ns + link.prop_delay_ns)
         self._wire_free_at = last_arrival - link.prop_delay_ns
@@ -177,7 +198,7 @@ class ForeTca100:
             # The wire span: first cell starts clocking out while the
             # driver copy loop is still running — the TCA-100 overlap the
             # paper's timeline figures show.
-            wire_start = depart[1] - link.cell_time_ns
+            wire_start = first_depart - link.cell_time_ns
             packet.lineage.add(
                 "wire.atm" if data_bearing else "wire.ack.atm",
                 "wire", wire_start, last_arrival,

@@ -150,6 +150,25 @@ class TestAdapterTiming:
         sim.run()
         assert a.interface.stats.max_tx_fifo_cells <= ForeTca100.TX_FIFO_CELLS
 
+    @pytest.mark.parametrize("payload,cells,max_fifo,stall_ns", [
+        (7960, 182, 36, 28619),    # 8000 B datagram: the FIFO fills
+        (4096, 95, 22, 0),         # one page-sized MSS: never fills
+        (9148, 209, 36, 50991),    # a full 9188 B ATM MTU
+    ])
+    def test_tx_schedule_known_answers(self, payload, cells, max_fifo,
+                                       stall_ns):
+        sim, a, b, link = make_atm_pair()
+
+        def send():
+            yield from a.interface.output(make_packet(payload),
+                                          Priority.KERNEL, True)
+
+        sim.process(send())
+        sim.run()
+        stats = a.interface.stats
+        assert (stats.cells_sent, stats.max_tx_fifo_cells,
+                stats.tx_stall_ns) == (cells, max_fifo, stall_ns)
+
     def test_back_to_back_packets_serialize_on_wire(self):
         sim, a, b, link = make_atm_pair()
         arrivals = []
