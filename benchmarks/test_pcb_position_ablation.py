@@ -35,9 +35,10 @@ def rtt_with_population(population, header_prediction=True,
             table = host.tcp.pcbs
             active = [p for p in table.pcbs
                       if not p.is_listener and p.connection is not None]
-            for pcb in active:
-                table._list.remove(pcb)
-                table._list.append(pcb)
+            # _members is scanned newest (last) first, so its front is
+            # the list tail.
+            rest = [p for p in table._members if p not in active]
+            table._members = dict.fromkeys([*reversed(active), *rest])
             table._cache = None
 
     if sink_to_tail:

@@ -413,26 +413,24 @@ LAYERING: Dict[str, Dict[str, Set[str]]] = {
     "checksum": {"allowed": {"repro.checksum", "repro.hw",
                              "repro.perf.native"}},
     "tcp": {"forbidden": {"repro.atm", "repro.ethernet", "repro.core",
-                          "repro.obs", "repro.faults", "repro.udp",
-                          "repro.analysis", "repro.chaos"}},
+                          "repro.obs", "repro.udp", "repro.analysis",
+                          "repro.chaos"}},
     "ip": {"forbidden": {"repro.atm", "repro.ethernet", "repro.tcp",
-                         "repro.core", "repro.obs", "repro.faults",
-                         "repro.udp", "repro.socket", "repro.analysis",
-                         "repro.chaos"}},
+                         "repro.core", "repro.obs", "repro.udp",
+                         "repro.socket", "repro.analysis", "repro.chaos"}},
     # The adapters hand transmissions to an *attached* impairment
     # engine duck-typed through link.impairments — importing
     # repro.chaos from the wire layers would invert that dependency.
     "atm": {"forbidden": {"repro.tcp", "repro.ip", "repro.ethernet",
-                          "repro.core", "repro.obs", "repro.faults",
-                          "repro.udp", "repro.socket", "repro.analysis",
-                          "repro.chaos"}},
+                          "repro.core", "repro.obs", "repro.udp",
+                          "repro.socket", "repro.analysis", "repro.chaos"}},
     "ethernet": {"forbidden": {"repro.tcp", "repro.ip", "repro.atm",
-                               "repro.core", "repro.obs", "repro.faults",
-                               "repro.udp", "repro.socket",
-                               "repro.analysis", "repro.chaos"}},
-    "kern": {"forbidden": {"repro.core", "repro.obs", "repro.faults",
-                           "repro.atm", "repro.ethernet",
-                           "repro.analysis", "repro.chaos"}},
+                               "repro.core", "repro.obs", "repro.udp",
+                               "repro.socket", "repro.analysis",
+                               "repro.chaos"}},
+    "kern": {"forbidden": {"repro.core", "repro.obs", "repro.atm",
+                           "repro.ethernet", "repro.analysis",
+                           "repro.chaos"}},
     "obs": {"forbidden": {"repro.analysis"}},
 }
 

@@ -11,8 +11,8 @@ Two levels of fidelity are provided:
 * *Arithmetic* (:func:`cells_needed`) — cell counts for cost models and
   wire timing; used on every packet.
 * *Functional* (:class:`Aal34Codec`) — real segmentation with real
-  CRC-10s, used when fault injection needs real error-detection
-  behaviour (``KernelConfig.model_cell_crc``).
+  CRC-10s, used when the wire-fault hook (:mod:`repro.chaos.impair`)
+  flips bits or truncates a cell train and needs real error detection.
 """
 
 from __future__ import annotations

@@ -93,10 +93,11 @@ class AtmLink:
         self.prop_delay_ns = prop_delay_ns
         #: Time to clock one 53-byte cell onto the fiber.
         self.cell_time_ns = int(round(CELL_SIZE * 8 * 1e9 / bandwidth_bps))
-        self.fault_injector = None  # set by fault experiments
-        #: Chaos impairment layer (repro.chaos), duck-typed so this
-        #: module never imports it; None (one attribute test per
-        #: transmit) leaves the wire path byte-identical to the seed.
+        #: The wire-fault hook (repro.chaos), duck-typed so this module
+        #: never imports it: ``transmit_atm`` for every transmission,
+        #: ``receive`` for every PDU the adapter accepts.  None (one
+        #: attribute test each way) leaves the wire path byte-identical
+        #: to the seed.
         self.impairments = None
         self._ends: List["ForeTca100"] = []
 
@@ -213,35 +214,26 @@ class ForeTca100:
             if stall_ns > 0:
                 metrics.inc("atm.tx_stalls")
 
-        wire_bytes, wire_fault = self._apply_wire_faults(packet)
         peer = link.peer_of(self)
         delay_ns = max(0, last_arrival - sim.now)
         impairments = link.impairments
         if impairments is None:
             sim.schedule(delay_ns, peer.deliver,
-                         wire_bytes, n, wire_fault, data_bearing)
+                         packet.data, n, False, data_bearing)
         else:
-            impairments.transmit_atm(self, peer, delay_ns, wire_bytes, n,
-                                     wire_fault, data_bearing)
-
-    def _apply_wire_faults(self, packet: Packet):
-        """Link-stage fault injection on the serialized PDU.
-
-        Returns ``(pdu_bytes, outcome)`` where *outcome* is None or a
-        :class:`repro.faults.FaultOutcome` describing the corruption and
-        whether the AAL3/4 cell CRCs caught it.
-        """
-        injector = self.link.fault_injector
-        if injector is None:
-            return packet.data, None
-        return injector.apply_link(packet.data)
+            impairments.transmit_atm(self, peer, delay_ns, packet.data, n,
+                                     data_bearing)
 
     # ------------------------------------------------------------------
     # Receive
     # ------------------------------------------------------------------
-    def deliver(self, pdu: bytes, n_cells: int, wire_fault,
+    def deliver(self, pdu: bytes, n_cells: int, link_error: bool,
                 data_bearing: bool) -> None:
-        """Called at last-cell arrival: cells are in the RX FIFO."""
+        """Called at last-cell arrival: cells are in the RX FIFO.
+
+        *link_error* says the cell CRC-10s or the CPCS framing will
+        reject the train once the driver has drained it.
+        """
         self._rx_fifo_cells += n_cells
         self.stats.max_rx_fifo_cells = max(self.stats.max_rx_fifo_cells,
                                            self._rx_fifo_cells)
@@ -256,11 +248,11 @@ class ForeTca100:
                 self.host.lineage.mark_dropped_pdu(pdu, "rx-fifo-overflow")
             return
         self.host.sim.process(
-            self._rx_interrupt(pdu, n_cells, wire_fault, data_bearing),
+            self._rx_interrupt(pdu, n_cells, link_error, data_bearing),
             name=f"{self.host.name}:atm-rx",
         )
 
-    def _rx_interrupt(self, pdu: bytes, n_cells: int, wire_fault,
+    def _rx_interrupt(self, pdu: bytes, n_cells: int, link_error: bool,
                       data_bearing: bool) -> Generator:
         host = self.host
         costs = host.costs
@@ -303,7 +295,7 @@ class ForeTca100:
         # and CPCS framing in hardware.  A wire fault the CRCs caught
         # makes reassembly fail and the datagram vanish here; TCP's
         # retransmission timer recovers.
-        if wire_fault is not None and wire_fault.detected_by_link_check:
+        if link_error:
             self.stats.aal_errors += 1
             if host.metrics is not None:
                 host.metrics.inc("atm.aal_errors")
@@ -319,23 +311,14 @@ class ForeTca100:
                 lin.mark_dropped(seg_rec, "enobufs")
             return
 
+        # The copy from adapter memory to host mbufs, *after* the AAL
+        # CRC check: the wire-fault hook's controller stage.
+        impairments = self.link.impairments
+        if impairments is not None:
+            pdu = impairments.receive(pdu)
         packet = Packet(pdu)
         packet.lineage = seg_rec
         packet.last_cell_arrival_ns = arrived_at
-        if wire_fault is not None:
-            packet.corrupted_by = wire_fault.source
-
-        # Controller-stage errors: introduced while moving cells from
-        # adapter memory to host mbufs, *after* the AAL CRC check — the
-        # paper's error source (2), which only the TCP checksum can see.
-        injector = self.link.fault_injector if self.link else None
-        if injector is not None:
-            new_pdu, tag = injector.apply_controller(packet.data)
-            if tag is not None:
-                packet = Packet(new_pdu)
-                packet.lineage = seg_rec
-                packet.last_cell_arrival_ns = arrived_at
-                packet.corrupted_by = tag
 
         if integrated:
             # The driver folded TCP checksum verification into its

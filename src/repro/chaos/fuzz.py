@@ -292,8 +292,8 @@ class PacketFuzzer:
     Duck-type compatible with :class:`repro.chaos.impair.Impairments`:
     attach to a testbed and the adapters route every transmission
     through :meth:`transmit_atm` / :meth:`transmit_ether`.  Delivery
-    timing, cell counts and wire-fault state pass through untouched —
-    only bytes change.
+    timing and cell counts pass through untouched, no link check fails,
+    and :meth:`receive` is a pass-through — only bytes change.
     """
 
     def __init__(self, config: FuzzConfig,
@@ -393,15 +393,18 @@ class PacketFuzzer:
     # Wire interposition (called by the adapters)
     # ------------------------------------------------------------------
     def transmit_atm(self, adapter, peer, delay_ns: int, pdu: bytes,
-                     n_cells: int, wire_fault, data_bearing: bool) -> None:
+                     n_cells: int, data_bearing: bool) -> None:
         host = adapter.host
         pdu = self._mutate(host, pdu)
-        host.sim.schedule(delay_ns, peer.deliver, pdu, n_cells,
-                          wire_fault, data_bearing)
+        host.sim.schedule(delay_ns, peer.deliver, pdu, n_cells, False,
+                          data_bearing)
 
     def transmit_ether(self, adapter, peer, delay_ns: int, pdu: bytes,
-                       wire_fault, data_bearing: bool) -> None:
+                       data_bearing: bool) -> None:
         host = adapter.host
         pdu = self._mutate(host, pdu)
-        host.sim.schedule(delay_ns, peer.deliver, pdu, wire_fault,
-                          data_bearing)
+        host.sim.schedule(delay_ns, peer.deliver, pdu, False, data_bearing)
+
+    def receive(self, pdu: bytes) -> bytes:
+        """Receive side: the fuzzer mutates on transmit only."""
+        return pdu

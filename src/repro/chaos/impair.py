@@ -18,7 +18,22 @@ engine then injects, per packet:
   machinery decides that the PDU is damaged;
 * **targeted window-update loss** — deterministically drop the first N
   pure-ACK segments that reopen a closed receive window, the exact
-  scenario the persist timer exists for.
+  scenario the persist timer exists for;
+* **bit errors by source** (the §4.2 error-detection study) — real bit
+  flips whose detection is decided by the real CRC math:
+
+  - *link* errors on the fiber/wire, flipped inside a real AAL3/4 cell
+    train (the per-cell CRC-10s catch them) or an Ethernet frame (the
+    FCS catches them), except for the rare patterns a CRC cannot
+    distinguish;
+  - *gateway* errors, data that enters the network already corrupt
+    with valid link checks, so only the TCP checksum can see them;
+  - *controller* errors, introduced while the adapter moves data into
+    host memory *after* the link check (:meth:`Impairments.receive`),
+    so again only the TCP checksum can see them.
+
+  Switch errors, the paper's fourth source, do not apply: the testbed
+  is switchless and the AAL payload CRCs are end to end.
 
 Resource-pressure faults are scheduled through the simulator as timed
 *clamps*: a window during which the IP input queue limit, the adapter
@@ -30,7 +45,9 @@ Determinism: every endpoint draws from its own forked
 transmit order, and each packet consumes a *fixed* number of draws —
 so the decision sequence depends only on (seed, endpoint, packet
 index), never on event tie-breaking.  ``repro racecheck chaos``
-verifies this.
+verifies this.  The bit-error stages draw from one link-wide
+``faults`` stream instead, only when their probability is non-zero,
+in transmit and delivery order.
 """
 
 from __future__ import annotations
@@ -40,14 +57,25 @@ from typing import Dict, Optional, Tuple
 
 from repro.atm.aal import Aal34Codec, ReassemblyError
 from repro.checksum.crc import crc32
-from repro.faults.injector import FaultOutcome
 from repro.net.headers import IP_HEADER_LEN, TCPFlags, TCPHeader
 from repro.sim.rng import SplitMix64Stream
 
 __all__ = ["GilbertElliott", "ResourceClamp", "ImpairmentConfig",
-           "ChaosStats", "Impairments"]
+           "ChaosStats", "Impairments", "flip_bits"]
 
 _U64_SPAN = 1 << 64
+#: Bits flipped per injected bit error.
+BITS_PER_FAULT = 1
+
+
+def flip_bits(data: bytes, rng: SplitMix64Stream,
+              nbits: int = BITS_PER_FAULT) -> bytes:
+    """*data* with *nbits* uniformly chosen bits flipped."""
+    buf = bytearray(data)
+    for _ in range(nbits):
+        bit = rng.randrange(len(buf) * 8)
+        buf[bit // 8] ^= 1 << (bit % 8)
+    return bytes(buf)
 
 
 @dataclass(frozen=True)
@@ -101,9 +129,17 @@ class ImpairmentConfig:
     drop_window_updates: int = 0
     #: Timed resource-pressure windows.
     clamps: Tuple[ResourceClamp, ...] = field(default_factory=tuple)
+    #: §4.2 bit errors, by source: on the wire (the link check sees
+    #: them), entering at a gateway and in the receiving controller
+    #: (only the TCP checksum sees those two).
+    p_link_error: float = 0.0
+    p_gateway_error: float = 0.0
+    p_controller_error: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_drop", "p_duplicate", "p_reorder", "p_truncate"):
+        for name in ("p_drop", "p_duplicate", "p_reorder", "p_truncate",
+                     "p_link_error", "p_gateway_error",
+                     "p_controller_error"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
@@ -114,7 +150,9 @@ class ChaosStats:
 
     __slots__ = ("packets_seen", "drops", "burst_drops", "duplicates",
                  "reorders", "truncations", "window_update_drops",
-                 "jitter_total_ns")
+                 "jitter_total_ns", "injected_link", "injected_controller",
+                 "injected_gateway", "link_check_caught",
+                 "link_check_missed")
 
     def __init__(self) -> None:
         for name in self.__slots__:
@@ -161,6 +199,8 @@ class Impairments:
             self._t_b2g = _threshold(ge.p_bad_to_good)
             self._t_drop_bad = _threshold(ge.p_drop_bad)
         self._clamp_saved: Dict[Tuple[str, str], object] = {}
+        # The bit-error stages share one stream across both directions.
+        self._faults = SplitMix64Stream(config.seed, label="faults")
 
     # ------------------------------------------------------------------
     # Wiring
@@ -307,12 +347,75 @@ class Impairments:
                 f"chaos.{kind}", "chaos", host.sim.now, args)
 
     # ------------------------------------------------------------------
+    # §4.2 bit errors
+    # ------------------------------------------------------------------
+    def _bit_errors(self, pdu: bytes,
+                    atm: bool) -> Tuple[bytes, bool, bool]:
+        """Gateway- and link-stage bit errors for one transmitted PDU.
+
+        Returns ``(pdu, corrupted, link_error)``: the bytes the receiver
+        gets, whether either stage struck, and whether the link check
+        catches it.  On ATM the real CRC-10s of a real cell train
+        decide; on Ethernet the FCS of the original frame is compared
+        against the corrupted one.
+        """
+        config = self.config
+        stats = self.stats
+        rng = self._faults
+        corrupted = link_error = False
+        if config.p_gateway_error and rng.random() < config.p_gateway_error:
+            # Enters the network already corrupt, with valid link checks.
+            pdu = flip_bits(pdu, rng)
+            stats.injected_gateway += 1
+            stats.link_check_missed += 1
+            corrupted = True
+        if config.p_link_error and rng.random() < config.p_link_error:
+            stats.injected_link += 1
+            if atm:
+                pdu, link_error = self._corrupt_cells(pdu)
+            else:
+                damaged = flip_bits(pdu, rng)
+                link_error = crc32(damaged) != crc32(pdu)
+                pdu = damaged
+            if link_error:
+                stats.link_check_caught += 1
+            else:
+                stats.link_check_missed += 1
+            corrupted = True
+        return pdu, corrupted, link_error
+
+    def _corrupt_cells(self, pdu: bytes) -> Tuple[bytes, bool]:
+        """Flip bits inside a real AAL3/4 cell train; returns the PDU the
+        receiver would reassemble (or the corrupt one) and whether the
+        cell CRC-10s caught the corruption."""
+        rng = self._faults
+        cells = Aal34Codec.segment(pdu)
+        for _ in range(BITS_PER_FAULT):
+            cell = rng.choice(cells)
+            # 352 payload bits + 10 CRC bits per cell are exposed.
+            bit = rng.randrange(len(cell.payload) * 8 + 10)
+            if bit < len(cell.payload) * 8:
+                buf = bytearray(cell.payload)
+                buf[bit // 8] ^= 1 << (bit % 8)
+                cell.payload = bytes(buf)
+            else:
+                cell.crc ^= 1 << (bit - len(cell.payload) * 8)
+        try:
+            reassembled = Aal34Codec.reassemble(cells)
+        except ReassemblyError:
+            return pdu, True  # caught: the receiver will discard
+        # CRC aliased, or the flips landed in padding: whatever survived
+        # reassembly sails through undetected by the link check.
+        return reassembled, False
+
+    # ------------------------------------------------------------------
     # Wire interposition (called by the adapters)
     # ------------------------------------------------------------------
     def transmit_atm(self, adapter, peer, delay_ns: int, pdu: bytes,
-                     n_cells: int, wire_fault, data_bearing: bool) -> None:
+                     n_cells: int, data_bearing: bool) -> None:
         host = adapter.host
         sim = host.sim
+        pdu, corrupted, link_error = self._bit_errors(pdu, True)
         state = self._endpoint(host.name)
         self.stats.packets_seen += 1
         wud = self._is_window_update_target(state, pdu)
@@ -324,7 +427,7 @@ class Impairments:
             self._note(host, "burst_drop" if self.config.burst is not None
                        else "drop", {"cells": n_cells}, pdu=pdu)
             return
-        if truncate and wire_fault is None and n_cells > 1:
+        if truncate and not corrupted and n_cells > 1:
             # Cut the tail off the real AAL3/4 cell train and let the
             # actual reassembly framing prove the PDU is damaged (a
             # missing EOM / short length can never reassemble cleanly).
@@ -332,11 +435,9 @@ class Impairments:
             cells = Aal34Codec.segment(pdu)[:n_cells - cut]
             try:
                 Aal34Codec.reassemble(cells)
-                detected = False  # unreachable for a tail cut
+                link_error = False  # unreachable for a tail cut
             except ReassemblyError:
-                detected = True
-            wire_fault = FaultOutcome("chaos-truncate", 0,
-                                      detected_by_link_check=detected)
+                link_error = True
             n_cells -= cut
             self._note(host, "truncate", {"cells_cut": cut}, pdu=pdu)
         if reorder:
@@ -345,18 +446,19 @@ class Impairments:
         delay_ns += jitter
         if jitter:
             self.stats.jitter_total_ns += jitter
-        sim.schedule(delay_ns, peer.deliver, pdu, n_cells, wire_fault,
+        sim.schedule(delay_ns, peer.deliver, pdu, n_cells, link_error,
                      data_bearing)
         if duplicate:
             self._note(host, "duplicate", pdu=pdu)
             sim.schedule(delay_ns + self.config.duplicate_gap_ns,
-                         peer.deliver, pdu, n_cells, wire_fault,
+                         peer.deliver, pdu, n_cells, link_error,
                          data_bearing)
 
     def transmit_ether(self, adapter, peer, delay_ns: int, pdu: bytes,
-                       wire_fault, data_bearing: bool) -> None:
+                       data_bearing: bool) -> None:
         host = adapter.host
         sim = host.sim
+        pdu, corrupted, link_error = self._bit_errors(pdu, False)
         state = self._endpoint(host.name)
         self.stats.packets_seen += 1
         wud = self._is_window_update_target(state, pdu)
@@ -368,14 +470,12 @@ class Impairments:
             self._note(host, "burst_drop" if self.config.burst is not None
                        else "drop", {"bytes": len(pdu)}, pdu=pdu)
             return
-        if truncate and wire_fault is None and len(pdu) > 1:
+        if truncate and not corrupted and len(pdu) > 1:
             # Chop the frame tail; the receiver's FCS comparison (the
             # real crc32 over real bytes) catches the damage.
             cut = max(1, min(self.config.truncate_bytes, len(pdu) - 1))
             truncated = pdu[:len(pdu) - cut]
-            detected = crc32(truncated) != crc32(pdu)
-            wire_fault = FaultOutcome("chaos-truncate", 0,
-                                      detected_by_link_check=detected)
+            link_error = crc32(truncated) != crc32(pdu)
             pdu = truncated
             self._note(host, "truncate", {"bytes_cut": cut}, pdu=pdu)
         if reorder:
@@ -384,8 +484,21 @@ class Impairments:
         delay_ns += jitter
         if jitter:
             self.stats.jitter_total_ns += jitter
-        sim.schedule(delay_ns, peer.deliver, pdu, wire_fault, data_bearing)
+        sim.schedule(delay_ns, peer.deliver, pdu, link_error, data_bearing)
         if duplicate:
             self._note(host, "duplicate", pdu=pdu)
             sim.schedule(delay_ns + self.config.duplicate_gap_ns,
-                         peer.deliver, pdu, wire_fault, data_bearing)
+                         peer.deliver, pdu, link_error, data_bearing)
+
+    def receive(self, pdu: bytes) -> bytes:
+        """Controller-stage bit errors on one PDU the adapter accepted.
+
+        The adapters call this after the link check and mbuf admission,
+        as the PDU moves from adapter to host memory: the paper's error
+        source (2), which only the TCP checksum can see.
+        """
+        p = self.config.p_controller_error
+        if p and self._faults.random() < p:
+            self.stats.injected_controller += 1
+            return flip_bits(pdu, self._faults)
+        return pdu

@@ -18,16 +18,11 @@ per error source, which layer detected each corruption:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.core.experiment import (
-    RoundTripBenchmark,
-    SERVER_PORT,
-    payload_pattern,
-)
+from repro.chaos.impair import ImpairmentConfig, Impairments
+from repro.core.experiment import RoundTripBenchmark
 from repro.core.testbed import build_atm_pair, build_ethernet_pair
-from repro.faults.injector import FaultInjector
 from repro.kern.config import ChecksumMode, KernelConfig
 
 __all__ = ["ErrorStudyResult", "run_error_study"]
@@ -64,26 +59,32 @@ def run_error_study(size: int = 1400, iterations: int = 60,
                     checksum_mode: ChecksumMode = ChecksumMode.STANDARD,
                     network: str = "atm",
                     seed: int = 1994) -> ErrorStudyResult:
-    """Run the echo benchmark under fault injection and count detections."""
-    config = KernelConfig(checksum_mode=checksum_mode, model_cell_crc=True)
-    if network == "atm":
-        testbed = build_atm_pair(config=config)
-    else:
-        testbed = build_ethernet_pair(config=config)
-    injector = FaultInjector(seed=seed, p_link=p_link,
-                             p_controller=p_controller,
-                             p_gateway=p_gateway)
-    testbed.link.fault_injector = injector
+    """Run the echo benchmark under fault injection and count detections.
+
+    *network* is ``"atm"`` or ``"ethernet"``; the bit errors come from
+    the link's :class:`~repro.chaos.impair.Impairments` engine.
+    """
+    builders = {"atm": build_atm_pair, "ethernet": build_ethernet_pair}
+    if network not in builders:
+        raise ValueError(f"unknown network {network!r} "
+                         f"(have {sorted(builders)})")
+    impairments = Impairments(ImpairmentConfig(
+        seed=seed, p_link_error=p_link, p_controller_error=p_controller,
+        p_gateway_error=p_gateway))
+    testbed = builders[network](
+        config=KernelConfig(checksum_mode=checksum_mode),
+        impairments=impairments)
 
     bench = RoundTripBenchmark(testbed, size=size, iterations=iterations,
                                warmup=2, verify_payload=True)
     result = bench.run()
 
+    stats = impairments.stats
     out = ErrorStudyResult(iterations=iterations)
-    out.injected_link = injector.stats.injected_link
-    out.injected_controller = injector.stats.injected_controller
-    out.injected_gateway = injector.stats.injected_gateway
-    out.caught_by_link_check = injector.stats.link_check_caught
+    out.injected_link = stats.injected_link
+    out.injected_controller = stats.injected_controller
+    out.injected_gateway = stats.injected_gateway
+    out.caught_by_link_check = stats.link_check_caught
     client, server = testbed.client, testbed.server
     out.caught_by_tcp_checksum = (client.tcp.stats.cksum_errors
                                   + server.tcp.stats.cksum_errors)

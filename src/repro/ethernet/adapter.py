@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.checksum.crc import crc32
 from repro.net.packet import Packet
 from repro.sim.cpu import Priority
 from repro.sim.engine import us
@@ -46,9 +45,10 @@ class EthernetLink:
         self.bandwidth_bps = bandwidth_bps
         self.prop_delay_ns = prop_delay_ns
         self.byte_time_ns = int(round(8 * 1e9 / bandwidth_bps))
-        self.fault_injector = None
-        #: Chaos impairment layer (repro.chaos), duck-typed; None keeps
-        #: the wire path byte-identical to the seed.
+        #: The wire-fault hook (repro.chaos), duck-typed:
+        #: ``transmit_ether`` for every frame sent, ``receive`` for every
+        #: frame the adapter accepts.  None keeps the wire path
+        #: byte-identical to the seed.
         self.impairments = None
         self._ends: List["LanceEthernet"] = []
         #: Shared medium: one frame at a time.
@@ -157,26 +157,22 @@ class LanceEthernet:
             host.metrics.inc("ether.frames_sent")
             host.metrics.inc("ether.bytes_sent", length)
 
-        wire_bytes = packet.data
-        wire_fault = None
-        if link.fault_injector is not None:
-            wire_bytes, wire_fault = link.fault_injector.apply_link(
-                wire_bytes, frame_check=crc32)
         peer = link.peer_of(self)
         delay_ns = max(0, arrival - host.sim.now)
         impairments = link.impairments
         if impairments is None:
             host.sim.schedule(delay_ns, peer.deliver,
-                              wire_bytes, wire_fault, data_bearing)
+                              packet.data, False, data_bearing)
         else:
-            impairments.transmit_ether(self, peer, delay_ns, wire_bytes,
-                                       wire_fault, data_bearing)
+            impairments.transmit_ether(self, peer, delay_ns, packet.data,
+                                       data_bearing)
 
     # ------------------------------------------------------------------
     # Receive
     # ------------------------------------------------------------------
-    def deliver(self, frame_payload: bytes, wire_fault,
+    def deliver(self, frame_payload: bytes, link_error: bool,
                 data_bearing: bool) -> None:
+        """Called at frame arrival; *link_error* says the FCS fails."""
         if self._rx_ring_frames >= self.rx_ring_limit:
             # RX ring overrun: no free descriptor, the LANCE drops the
             # frame.  TCP's retransmission timer recovers.
@@ -189,11 +185,11 @@ class LanceEthernet:
             return
         self._rx_ring_frames += 1
         self.host.sim.process(
-            self._rx_interrupt(frame_payload, wire_fault, data_bearing),
+            self._rx_interrupt(frame_payload, link_error, data_bearing),
             name=f"{self.host.name}:ether-rx",
         )
 
-    def _rx_interrupt(self, frame_payload: bytes, wire_fault,
+    def _rx_interrupt(self, frame_payload: bytes, link_error: bool,
                       data_bearing: bool) -> Generator:
         host = self.host
         costs = host.costs
@@ -223,7 +219,7 @@ class LanceEthernet:
         if host.metrics is not None:
             host.metrics.inc("ether.frames_received")
             host.metrics.inc("ether.bytes_received", len(frame_payload))
-        if wire_fault is not None and wire_fault.detected_by_link_check:
+        if link_error:
             # The Ethernet CRC caught it: frame dropped by the adapter.
             self.stats.fcs_errors += 1
             if host.metrics is not None:
@@ -236,9 +232,12 @@ class LanceEthernet:
             if lin is not None:
                 lin.mark_dropped(seg_rec, "enobufs")
             return
+        # The copy out of adapter memory, after the FCS check: the
+        # wire-fault hook's controller stage.
+        impairments = self.link.impairments
+        if impairments is not None:
+            frame_payload = impairments.receive(frame_payload)
         packet = Packet(frame_payload)
         packet.lineage = seg_rec
         packet.last_cell_arrival_ns = arrived_at
-        if wire_fault is not None:
-            packet.corrupted_by = wire_fault.source
         host.softnet.schednetisr(packet)

@@ -26,8 +26,8 @@ class Packet:
 
     __slots__ = (
         "data", "mbuf_count", "cluster_count",
-        "enqueued_ipq_at", "last_cell_arrival_ns", "corrupted_by",
-        "link_check_failed", "cksum_verified", "tx_host",
+        "enqueued_ipq_at", "last_cell_arrival_ns", "cksum_verified",
+        "tx_host",
         "segment_index", "segment_count", "lineage",
     )
 
@@ -38,8 +38,6 @@ class Packet:
         self.cluster_count = cluster_count
         self.enqueued_ipq_at: Optional[int] = None
         self.last_cell_arrival_ns: Optional[int] = None
-        self.corrupted_by: Optional[str] = None
-        self.link_check_failed = False
         #: Set by an integrated-checksum receive driver: True/False once
         #: the driver folded TCP checksum verification into its copy.
         self.cksum_verified: Optional[bool] = None

@@ -1,76 +1,105 @@
-"""Tests for the fault injector and the §4.2 error-detection layering."""
+"""Tests for the §4.2 bit-error stages and the error-detection layering."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.checksum.crc import crc32
+from repro.atm.aal import cells_needed
+from repro.chaos.impair import ImpairmentConfig, Impairments
 from repro.core.errorstudy import run_error_study
-from repro.faults.injector import FaultInjector
 from repro.kern.config import ChecksumMode
+
+
+class Wire:
+    """Drives one engine's transmit hook directly and records what the
+    receiving adapter would be handed: ``(pdu, link_error)``."""
+
+    def __init__(self, network="atm", **config):
+        self.network = network
+        self.engine = Impairments(ImpairmentConfig(**config))
+        host = SimpleNamespace(name="client", metrics=None, sim=self)
+        self.adapter = SimpleNamespace(host=host)
+        self.got = []
+
+    def schedule(self, delay_ns, fn, *args):
+        fn(*args)
+
+    def deliver(self, pdu, *args):
+        self.got.append((pdu, args[-2]))
+
+    def send(self, pdu):
+        if self.network == "atm":
+            self.engine.transmit_atm(self.adapter, self, 0, pdu,
+                                     cells_needed(len(pdu)), True)
+        else:
+            self.engine.transmit_ether(self.adapter, self, 0, pdu, True)
+        return self.got.pop()
 
 
 class TestInjectorBasics:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            FaultInjector(p_link=1.5)
+            ImpairmentConfig(p_link_error=1.5)
         with pytest.raises(ValueError):
-            FaultInjector(p_controller=-0.1)
+            ImpairmentConfig(p_controller_error=-0.1)
         with pytest.raises(ValueError):
-            FaultInjector(bits_per_fault=0)
+            ImpairmentConfig(p_gateway_error=2.0)
 
     def test_zero_probability_never_corrupts(self):
-        inj = FaultInjector(seed=1)
+        wire = Wire(seed=1)
         pdu = bytes(range(200))
         for _ in range(50):
-            out, fault = inj.apply_link(pdu)
-            assert out == pdu and fault is None
-            out, tag = inj.apply_controller(pdu)
-            assert out == pdu and tag is None
+            assert wire.send(pdu) == (pdu, False)
+            assert wire.engine.receive(pdu) == pdu
+        stats = wire.engine.stats
+        assert (stats.injected_link, stats.injected_controller,
+                stats.injected_gateway) == (0, 0, 0)
 
     def test_controller_corruption_changes_bytes(self):
-        inj = FaultInjector(seed=2, p_controller=1.0)
+        engine = Impairments(ImpairmentConfig(seed=2, p_controller_error=1.0))
         pdu = bytes(200)
-        out, tag = inj.apply_controller(pdu)
-        assert tag == "controller"
+        out = engine.receive(pdu)
+        assert engine.stats.injected_controller == 1
         assert out != pdu
         assert len(out) == len(pdu)
 
     def test_deterministic_given_seed(self):
-        a = FaultInjector(seed=42, p_controller=0.5)
-        b = FaultInjector(seed=42, p_controller=0.5)
+        a = Impairments(ImpairmentConfig(seed=42, p_controller_error=0.5))
+        b = Impairments(ImpairmentConfig(seed=42, p_controller_error=0.5))
         pdu = bytes(100)
         for _ in range(20):
-            assert a.apply_controller(pdu) == b.apply_controller(pdu)
+            assert a.receive(pdu) == b.receive(pdu)
+        assert a.stats.as_dict() == b.stats.as_dict()
 
 
 class TestLinkStageDetection:
     def test_atm_link_errors_usually_caught_by_crc10(self):
-        inj = FaultInjector(seed=3, p_link=1.0)
+        wire = Wire(seed=3, p_link_error=1.0)
         pdu = bytes(range(256)) * 2
-        caught = 0
-        for _ in range(40):
-            _, fault = inj.apply_link(pdu)
-            assert fault is not None
-            if fault.detected_by_link_check:
-                caught += 1
+        caught = sum(wire.send(pdu)[1] for _ in range(40))
+        assert wire.engine.stats.injected_link == 40
+        assert wire.engine.stats.link_check_caught == caught
         # Single-bit flips in payload or CRC are always caught by a real
         # CRC-10 (flips in padding are the only silent case).
         assert caught >= 35
 
     def test_ethernet_link_errors_caught_by_fcs(self):
-        inj = FaultInjector(seed=4, p_link=1.0)
+        wire = Wire("ethernet", seed=4, p_link_error=1.0)
         frame = bytes(range(200))
         for _ in range(20):
-            _, fault = inj.apply_link(frame, frame_check=crc32)
-            assert fault is not None and fault.detected_by_link_check
+            out, link_error = wire.send(frame)
+            assert link_error and out != frame
+        assert wire.engine.stats.link_check_caught == 20
 
     def test_gateway_errors_not_caught_by_link_check(self):
-        inj = FaultInjector(seed=5, p_gateway=1.0)
+        wire = Wire(seed=5, p_gateway_error=1.0)
         pdu = bytes(300)
-        out, fault = inj.apply_link(pdu)
-        assert fault is not None
-        assert fault.source == "gateway"
-        assert not fault.detected_by_link_check
+        out, link_error = wire.send(pdu)
+        assert not link_error
         assert out != pdu
+        stats = wire.engine.stats
+        assert stats.injected_gateway == 1
+        assert stats.link_check_missed == 1
 
 
 class TestErrorStudyLayering:
@@ -91,6 +120,13 @@ class TestErrorStudyLayering:
         assert r.caught_by_link_check == 0
         assert r.caught_by_tcp_checksum > 0
         assert r.caught_by_application == 0
+
+    def test_ethernet_controller_errors_need_the_tcp_checksum(self):
+        r = run_error_study(network="ethernet", size=500, iterations=25,
+                            p_controller=0.2, seed=12)
+        assert r.injected_controller > 0
+        assert r.caught_by_link_check == 0
+        assert r.caught_by_tcp_checksum > 0
 
     def test_gateway_errors_need_the_tcp_checksum(self):
         r = run_error_study(size=500, iterations=25, p_gateway=0.2,
@@ -118,3 +154,7 @@ class TestErrorStudyLayering:
         assert r.total_injected == 0
         assert r.caught_by_tcp_checksum == 0
         assert r.caught_by_application == 0
+
+    def test_unknown_network_rejected(self):
+        with pytest.raises(ValueError, match="unknown network"):
+            run_error_study(network="fddi", iterations=1)

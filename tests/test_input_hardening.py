@@ -19,6 +19,7 @@ from repro.tcp.conn import TCP_MINMSS
 from repro.tcp.options import TCPOptions
 from repro.tcp.seq import (seq_add, seq_diff, seq_geq, seq_gt, seq_leq,
                            seq_lt)
+from tests.wire_doubles import PassThrough
 
 
 class TestBlindRst:
@@ -38,7 +39,7 @@ class TestBlindRst:
         carrying data whose seq is exactly rcv_nxt is in-window and
         kills the connection (RFC 793 p.37)."""
 
-        class RewriteToRst:
+        class RewriteToRst(PassThrough):
             """Rewrite the Nth client PDU to RST|ACK, keeping seq."""
 
             def __init__(self, n):
@@ -57,14 +58,10 @@ class TestBlindRst:
                 return bytes(buf)
 
             def transmit_atm(self, adapter, peer, delay_ns, pdu,
-                             n_cells, wire_fault, data_bearing):
-                pdu = self._rewrite(adapter.host, pdu)
-                adapter.host.sim.schedule(delay_ns, peer.deliver, pdu,
-                                          n_cells, wire_fault,
-                                          data_bearing)
-
-            def attach(self, testbed):
-                testbed.link.impairments = self
+                             n_cells, data_bearing):
+                super().transmit_atm(adapter, peer, delay_ns,
+                                     self._rewrite(adapter.host, pdu),
+                                     n_cells, data_bearing)
 
         tb = build_atm_pair(impairments=RewriteToRst(3))
         listener = tb.server.socket()

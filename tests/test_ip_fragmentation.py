@@ -149,8 +149,8 @@ class TestEndToEndFragmentation:
     def udp_transfer(self, size, drop_fragment=None):
         tb = build_ethernet_pair()
         if drop_fragment is not None:
-            from tests.test_tcp_recovery import DropNth
-            tb.link.fault_injector = DropNth(drop_fragment)
+            from tests.wire_doubles import DropNth
+            tb.link.impairments = DropNth(drop_fragment)
         payload = payload_pattern(size)
         server_sock = UDPSocket(tb.server, port=2049)
         client_sock = UDPSocket(tb.client)

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
-from repro.faults.injector import FaultInjector
+from repro.chaos.impair import flip_bits
 from repro.checksum.crc import crc32
 from repro.kern.host import Host
 from repro.sim import Priority, Simulator
 from repro.sim.engine import us
+from repro.sim.rng import SplitMix64Stream
 from repro.socket.socket import SocketError
 
 
@@ -107,12 +108,11 @@ class TestEthernetFcsAliasing:
         """CRC-32 catches all the burst patterns we can throw at it in a
         small sample — the behaviour the paper's CRC-vs-checksum
         comparison assumes."""
-        inj = FaultInjector(seed=21, p_link=1.0, bits_per_fault=4)
+        rng = SplitMix64Stream(21, label="faults")
         frame = payload_pattern(800)
         caught = 0
         for _ in range(30):
-            _, fault = inj.apply_link(frame, frame_check=crc32)
-            caught += fault.detected_by_link_check
+            caught += crc32(flip_bits(frame, rng, 4)) != crc32(frame)
         assert caught == 30
 
 

@@ -18,7 +18,7 @@ from repro.core.testbed import build_atm_pair
 from repro.kern.config import KernelConfig
 from repro.sim.engine import Simulator
 from repro.tcp.timewheel import FAST_SLOTS, SLOW_SLOTS, TimerWheel
-from tests.test_tcp_recovery import DropNth
+from tests.wire_doubles import DropNth
 
 
 def scale_config(on: bool, **kwargs) -> KernelConfig:
@@ -39,7 +39,7 @@ def _echo_run(flags_on: bool, size: int = 1400, rounds: int = 3,
     tb = build_atm_pair(config=scale_config(flags_on))
     log = attach_packet_log(tb)
     if drops:
-        tb.link.fault_injector = DropNth(*drops)
+        tb.link.impairments = DropNth(*drops)
     payload = payload_pattern(size)
 
     def server(listener):

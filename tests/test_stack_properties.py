@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair, build_ethernet_pair
 from repro.kern.config import ChecksumMode, KernelConfig
-from tests.test_tcp_recovery import DropNth
+from tests.wire_doubles import DropNth
 
 SIZES = st.integers(min_value=1, max_value=6000)
 
@@ -71,7 +71,7 @@ def test_random_losses_recovered(sizes, drops):
     """Arbitrary early transmissions lost: the stream still completes
     intact via retransmission."""
     tb = build_atm_pair()
-    tb.link.fault_injector = DropNth(*drops)
+    tb.link.impairments = DropNth(*drops)
     assert run_exchanges(tb, sizes)
 
 

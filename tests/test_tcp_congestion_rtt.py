@@ -6,7 +6,8 @@ import pytest
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
 from repro.kern.config import KernelConfig
-from tests.test_tcp_recovery import DropNth, echo_with_injector
+from tests.test_tcp_recovery import echo_with_injector
+from tests.wire_doubles import DropNth
 
 
 def run_pair(tb, client_fn, server_fn):

@@ -146,10 +146,10 @@ class TestSequenceWraparound:
 
 class TestDuplicateSyn:
     def test_retransmitted_syn_does_not_duplicate_connection(self):
-        from tests.test_tcp_recovery import DropNth
+        from tests.wire_doubles import DropNth
         tb = build_atm_pair()
         # Drop the server's first SYN|ACK so the client re-SYNs.
-        tb.link.fault_injector = DropNth(2)
+        tb.link.impairments = DropNth(2)
         listener = tb.server.socket()
         listener.listen(SERVER_PORT)
 

@@ -5,51 +5,12 @@ import pytest
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
 from repro.kern.config import ChecksumMode, KernelConfig
-
-
-class DropNth:
-    """A deterministic injector: corrupt the Nth link transmission so the
-    AAL CRC discards it (a clean model of a lost packet)."""
-
-    def __init__(self, *targets):
-        self.targets = set(targets)
-        self.count = 0
-
-    def apply_link(self, pdu, frame_check=None):
-        self.count += 1
-        if self.count in self.targets:
-            from repro.faults.injector import FaultOutcome
-            return pdu, FaultOutcome("link", 1, detected_by_link_check=True)
-        return pdu, None
-
-    def apply_controller(self, pdu):
-        return pdu, None
-
-
-class CorruptNth:
-    """Flip payload bits on the Nth delivery after the link check
-    (controller stage), leaving detection to the TCP checksum."""
-
-    def __init__(self, *targets, byte_index=45):
-        self.targets = set(targets)
-        self.count = 0
-        self.byte_index = byte_index
-
-    def apply_link(self, pdu, frame_check=None):
-        return pdu, None
-
-    def apply_controller(self, pdu):
-        self.count += 1
-        if self.count in self.targets:
-            buf = bytearray(pdu)
-            buf[self.byte_index % len(buf)] ^= 0xFF
-            return bytes(buf), "controller"
-        return pdu, None
+from tests.wire_doubles import CorruptNth, DropNth
 
 
 def echo_with_injector(injector, size=500, iterations=3, config=None):
     tb = build_atm_pair(config=config)
-    tb.link.fault_injector = injector
+    tb.link.impairments = injector
     payload = payload_pattern(size)
 
     def server(listener):

@@ -12,14 +12,14 @@ silently shifting the byte stream.
 from repro.core.experiment import SERVER_PORT, payload_pattern
 from repro.core.testbed import build_atm_pair
 from repro.tcp.seq import seq_geq
-from tests.test_tcp_recovery import DropNth
+from tests.wire_doubles import DropNth
 
 
 def test_ack_overtaking_partial_retransmission():
     tb = build_atm_pair()
     # Drop the SYN|ACK (forcing a fresh handshake path) and, crucially,
     # transmission 12: the first segment of the two-segment reply.
-    tb.link.fault_injector = DropNth(2, 12)
+    tb.link.impairments = DropNth(2, 12)
     sizes = [1, 5367, 9]
     listener = tb.server.socket()
     listener.listen(SERVER_PORT)
@@ -56,7 +56,7 @@ def test_snd_nxt_invariant_after_many_loss_patterns():
     exchanges; the snd_nxt >= snd_una invariant must always hold."""
     for drop in range(1, 16):
         tb = build_atm_pair()
-        tb.link.fault_injector = DropNth(drop)
+        tb.link.impairments = DropNth(drop)
         listener = tb.server.socket()
         listener.listen(SERVER_PORT)
 

@@ -115,7 +115,8 @@ class TestMssDefaults:
 
 class TestRtoBackoff:
     def test_backoff_doubles_up_to_cap(self):
-        from tests.test_tcp_recovery import DropNth, echo_with_injector
+        from tests.test_tcp_recovery import echo_with_injector
+        from tests.wire_doubles import DropNth
         # Drop the first data segment and its first two retransmissions.
         tb, sock, results = echo_with_injector(DropNth(4, 5, 6),
                                                size=200, iterations=1)

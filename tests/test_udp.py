@@ -113,9 +113,9 @@ class TestUDPChecksumSemantics:
         assert tb.server.udp.stats.cksum_errors == 0
 
     def test_checksum_detects_controller_corruption(self):
-        from tests.test_tcp_recovery import CorruptNth
+        from tests.wire_doubles import CorruptNth
         tb = udp_pair()
-        tb.link.fault_injector = CorruptNth(1, byte_index=40)
+        tb.link.impairments = CorruptNth(1, byte_index=40)
         sock = UDPSocket(tb.client)
         UDPSocket(tb.server, port=2049)
 
@@ -132,9 +132,9 @@ class TestUDPChecksumSemantics:
     def test_no_checksum_lets_corruption_through(self):
         """§4.2's risk, demonstrated on UDP: without the checksum the
         corrupted datagram is delivered."""
-        from tests.test_tcp_recovery import CorruptNth
+        from tests.wire_doubles import CorruptNth
         tb = udp_pair(config=KernelConfig(udp_checksum=False))
-        tb.link.fault_injector = CorruptNth(1, byte_index=40)
+        tb.link.impairments = CorruptNth(1, byte_index=40)
         payload = payload_pattern(200)
         server_sock = UDPSocket(tb.server, port=2049)
         client_sock = UDPSocket(tb.client)
